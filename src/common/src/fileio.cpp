@@ -116,6 +116,11 @@ std::optional<std::string> read_file_if_exists(const std::string& path) {
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot open " + path);
+  // A directory opens fine and then reads as empty.
+  std::error_code ec;
+  if (fs::is_directory(path, ec)) {
+    throw Error("read failed (is it a directory?): " + path);
+  }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   if (in.bad()) throw Error("read failed: " + path);

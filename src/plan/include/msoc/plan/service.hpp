@@ -9,9 +9,10 @@
 // directory — ONE shared ResultCache whose in-memory snapshot/overlay
 // is the hot layer over the msoc-cache-v4 store on disk.  handle()
 // maps a JSON request envelope to a JSON response envelope
-// (docs/formats.md, "msoc-rpc-v1"); planning documents travel inside
-// the envelope as escaped strings, byte-identical to the JSON a
-// standalone `msoc_plan` with the same flags would write.
+// (docs/formats.md, "msoc-rpc-v1"): it decodes a plan::PlanRequest and
+// runs it through plan::execute, the same call a standalone `msoc_plan`
+// makes, so the documents inside the envelope are the JSON that
+// `msoc_plan` with the same flags writes.
 //
 // Concurrency contract (the "millions of users" shape):
 //   * handle() is thread-safe and called concurrently by the server's
@@ -25,6 +26,7 @@
 //   * Evaluation errors are never memoized; every retry re-plans.
 
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
@@ -34,6 +36,7 @@
 #include <string_view>
 #include <utility>
 
+#include "msoc/plan/request.hpp"
 #include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/soc.hpp"
 
@@ -90,18 +93,16 @@ class PlanService {
   }
 
  private:
-  struct Request;
   struct Pending;
 
-  [[nodiscard]] Request parse_request(std::string_view request_json) const;
-  [[nodiscard]] std::string canonical_key(const Request& request) const;
-  [[nodiscard]] std::string evaluate(const Request& request);
-  [[nodiscard]] std::string evaluate_frontier(const Request& request);
-  [[nodiscard]] std::string evaluate_sweep(const Request& request);
-  [[nodiscard]] std::string evaluate_plan(const Request& request);
-  /// By value: a reference into soc_lru_ could be evicted by a
-  /// concurrent request while an evaluation still holds it.
-  [[nodiscard]] soc::Soc resolve_soc(const Request& request);
+  /// Runs a planning request under the service's jobs cap and shared
+  /// cache; returns the ok envelope.
+  [[nodiscard]] std::string evaluate(PlanRequest request);
+  /// The SOC the request names (none for a default sweep).  By value:
+  /// a reference into soc_lru_ could be evicted by a concurrent
+  /// request while an evaluation still holds it.
+  [[nodiscard]] std::optional<soc::Soc> resolve_soc(
+      const PlanRequest& request);
   [[nodiscard]] int effective_jobs(int jobs) const;
   [[nodiscard]] std::string stats_reply() const;
   void memo_insert_locked(const std::string& key, const std::string& reply);

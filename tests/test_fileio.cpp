@@ -32,6 +32,8 @@ TEST(FileIo, ReadMissingFileReturnsNullopt) {
 
 TEST(FileIo, ReadDirectoryReturnsNullopt) {
   EXPECT_EQ(read_file_if_exists(::testing::TempDir()), std::nullopt);
+  // The throwing read must not pass a directory off as an empty file.
+  EXPECT_THROW((void)read_file(::testing::TempDir()), Error);
 }
 
 TEST(FileIo, ReadThroughNonDirectoryComponentReturnsNullopt) {

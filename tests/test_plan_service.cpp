@@ -75,6 +75,19 @@ TEST(PlanService, MalformedRequestsBecomeErrorEnvelopes) {
   EXPECT_EQ(stats.evaluations, 0);  // none of these reached an engine
 }
 
+TEST(PlanService, RejectionsCarryTheValidatorsMessage) {
+  // The same words msoc_plan prints for --replan-from on a single plan:
+  // both surfaces reject through PlanRequest::validate.
+  PlanService service;
+  const JsonValue reply = reply_of(
+      service,
+      R"({"schema":"msoc-rpc-v1","op":"plan","bench":"d695m",)"
+      R"("replan_from":"ab"})");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("error").as_string(),
+            "replan_from needs a sweep or frontier request");
+}
+
 TEST(PlanService, FrontierDocumentMatchesTheEngine) {
   PlanService service;
   const JsonValue reply = reply_of(

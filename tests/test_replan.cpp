@@ -319,15 +319,21 @@ TEST(ReplanSweep, SplicesEveryCaseAndReportsCacheStats) {
   config.tam_widths = {16, 24};
   config.max_powers = {0.0};
   config.time_weights = {0.25, 0.75};
-  config.cache_dir = fresh_dir("sweep_replan");
-  const SweepResult cold = run_sweep(config);
+  const std::string dir = fresh_dir("sweep_replan");
+  // One cache instance per sweep, as one msoc_plan run opens it.
+  const auto sweep_with_cache = [&] {
+    ResultCache cache(dir);
+    config.cache = &cache;
+    return run_sweep(config);
+  };
+  const SweepResult cold = sweep_with_cache();
   ASSERT_TRUE(cold.cache_used);
   EXPECT_GT(cold.cache_records, 0);
   EXPECT_TRUE(cold.replanned_from.empty());
 
   config.socs = {soc::powered_d695m(2.0)};
   config.replan_from = soc::digest_hex(baseline);
-  const SweepResult replanned = run_sweep(config);
+  const SweepResult replanned = sweep_with_cache();
 
   EXPECT_EQ(replanned.replanned_from, soc::digest_hex(baseline));
   EXPECT_GT(replanned.reused, 0);
@@ -358,9 +364,10 @@ TEST(ReplanSweep, ConfigValidationRejectsUnusableReplans) {
   config.socs = {soc::make_d695m()};
   config.tam_widths = {16};
   config.replan_from = "00000000deadbeef";
-  EXPECT_THROW((void)run_sweep(config), Error);  // no cache_dir
+  EXPECT_THROW((void)run_sweep(config), Error);  // no cache
 
-  config.cache_dir = fresh_dir("sweep_validation");
+  ResultCache cache(fresh_dir("sweep_validation"));
+  config.cache = &cache;
   config.socs.push_back(soc::make_p93791m());
   EXPECT_THROW((void)run_sweep(config), Error);  // two SOCs
 }

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "msoc/common/error.hpp"
+#include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "powered_fixtures.hpp"
 
@@ -134,9 +135,14 @@ TEST(Sweep, CacheDirMakesSecondSweepEvaluationFree) {
   std::filesystem::remove_all(dir);
 
   SweepConfig config = small_config();
-  config.cache_dir = dir.string();
-  const SweepResult cold = run_sweep(config);
-  const SweepResult warm = run_sweep(config);
+  // One cache instance per sweep, as one msoc_plan run opens it.
+  const auto sweep_with_cache = [&] {
+    ResultCache cache(dir.string());
+    config.cache = &cache;
+    return run_sweep(config);
+  };
+  const SweepResult cold = sweep_with_cache();
+  const SweepResult warm = sweep_with_cache();
   ASSERT_EQ(cold.rows.size(), warm.rows.size());
   int cold_evaluations = 0;
   for (std::size_t i = 0; i < cold.rows.size(); ++i) {

@@ -1,112 +1,42 @@
-// msoc_plan — command-line mixed-signal SOC test planner.
+// msoc_plan — command-line mixed-signal SOC test planner.  `msoc_plan
+// --help` lists the flags (print_usage below is their one list).
 //
-// Usage:
-//   msoc_plan [options]
-//     --soc FILE       ITC'02-style .soc description (default: built-in
-//                      p93791m benchmark)
-//     --bench NAME     built-in benchmark SOC instead of --soc
-//                      (p93791m, d695m, p93791, d695)
-//     --width N        TAM width (default 32; narrows --sweep/--frontier
-//                      to one width)
-//     --widths LIST    comma-separated TAM widths for --sweep/--frontier
-//                      (default 16,24,32,48,64)
-//     --max-power LIST comma-separated power budgets (0 = unconstrained;
-//                      default: the SOC's MaxPower declaration).  A
-//                      single plan takes one value; --sweep/--frontier
-//                      accept a ladder and solve every (width, power)
-//                      cell
-//     --power-window CYCLES:LIMIT
-//                      sliding-window power budget: every window of
-//                      CYCLES cycles must average at most LIMIT power
-//                      units (0 = unwindowed, overriding the SOC's
-//                      PowerWindow declaration; default: inherit it)
-//     --wt X           test-time weight w_T in [0,1] (default 0.5;
-//                      w_A = 1 - w_T)
-//     --exhaustive     evaluate every combination (default: Cost_Optimizer)
-//     --epsilon X      heuristic elimination slack (default 0)
-//     --jobs N         evaluation threads (default 1; 0 = all cores)
-//     --sweep          run the benchmark sweep (SOCs x widths x weights)
-//                      instead of a single plan
-//     --frontier       enumerate the (width, time, cost) Pareto frontier
-//                      through plan::FrontierEngine
-//     --cache-dir DIR  persistent msoc-cache-v4 result cache for
-//                      --sweep/--frontier
-//     --cache-compact  fold the cache's shard journals into snapshot
-//                      files and migrate legacy v1/v2/v3 stores to the
-//                      v4 layout; needs --cache-dir, runs standalone
-//     --replan-from DIGEST
-//                      incremental re-plan: diff the SOC against the
-//                      cache store flushed for this digest (a previous
-//                      revision) and re-pack only partitions whose
-//                      per-core digests changed; needs --cache-dir and
-//                      --sweep/--frontier
-//     --json FILE      write results as JSON (msoc-sweep-v1, or
-//                      msoc-frontier-v1 with --frontier)
-//     --gantt          print the schedule as an ASCII Gantt chart
-//     --csv FILE       export the schedule (or, with --sweep/--frontier,
-//                      the result table) as CSV
-//     --validate       replay the schedule through the cycle-level checker
-//     --daemon PATH    route the request through the msoc_pland daemon
-//                      listening on this Unix socket (msoc-rpc-v1);
-//                      falls back to in-process planning when nothing
-//                      is listening or the daemon is saturated.  The
-//                      reply's JSON document is byte-identical to the
-//                      in-process --json output
-//     --ping           with --daemon: probe the daemon and exit
-//     --shutdown       with --daemon: ask the daemon to drain and exit
-//     --help           this text
+// The planning flags fill one plan::PlanRequest.  It runs in-process
+// through plan::execute or, with --daemon, travels to msoc_pland as
+// its msoc-rpc-v1 envelope (PlanRequest::to_json), where the daemon
+// calls the same plan::execute.  Output files, --gantt, --validate and
+// the cache flags are this tool's own.
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
-#include "msoc/common/format.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/common/net.hpp"
-#include "msoc/common/parallel.hpp"
-#include "msoc/common/strings.hpp"
-#include "msoc/plan/frontier.hpp"
-#include "msoc/plan/optimizer.hpp"
-#include "msoc/plan/sweep.hpp"
-#include "msoc/soc/benchmarks.hpp"
+#include "msoc/plan/request.hpp"
+#include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/itc02.hpp"
 #include "msoc/testsim/replay.hpp"
 
 namespace {
 
-struct Options {
-  std::optional<std::string> soc_file;
-  std::optional<std::string> bench;  ///< Built-in benchmark name.
-  std::optional<int> width;      ///< Default 32 (single) / sweep ladder.
-  std::optional<std::vector<int>> widths;  ///< Explicit sweep ladder.
-  std::optional<std::vector<double>> max_powers;  ///< Power ladder.
-  /// Explicit sliding-window budget; an inactive value ({0, 0}, from
-  /// `--power-window 0`) forces unwindowed planning even on a SOC that
-  /// declares a window.  Absent = inherit the SOC's declaration.
-  std::optional<msoc::soc::PowerWindow> power_window;
-  std::optional<double> w_time;  ///< Default 0.5 (single) / sweep set.
-  bool exhaustive = false;
-  double epsilon = 0.0;
-  int jobs = 1;
-  bool sweep = false;
-  bool frontier = false;
+using msoc::plan::PlanRequest;
+using msoc::plan::PlanResult;
+
+/// Paths are empty when the flag is absent.
+struct Cli {
+  PlanRequest request;
+  std::string soc_file;  ///< Read into request.soc_text.
+  std::string cache_dir;
+  std::string json_file;
+  std::string csv_file;
+  std::string daemon;  ///< msoc_pland socket path.
   bool cache_compact = false;
-  std::optional<std::string> cache_dir;
-  std::optional<std::string> replan_from;  ///< Baseline SOC digest.
-  std::optional<std::string> json_file;
   bool gantt = false;
-  std::optional<std::string> csv_file;
   bool validate = false;
-  std::optional<std::string> daemon;  ///< msoc_pland socket path.
   bool ping = false;
   bool shutdown_daemon = false;
   bool help = false;
@@ -127,7 +57,8 @@ void print_usage() {
       "                   single plan; a ladder for --sweep/--frontier\n"
       "  --power-window CYCLES:LIMIT  sliding-window power budget: every\n"
       "                   CYCLES-cycle window averages at most LIMIT\n"
-      "                   (0 = unwindowed; default: the SOC's PowerWindow)\n"
+      "                   (0 or a LIMIT of 0 = unwindowed; default: the\n"
+      "                   SOC's PowerWindow)\n"
       "  --wt X           test-time weight w_T in [0,1] (default 0.5;\n"
       "                   w_A = 1 - w_T)\n"
       "  --exhaustive     exhaustive search instead of Cost_Optimizer\n"
@@ -139,12 +70,13 @@ void print_usage() {
       "                   --sweep/--frontier\n"
       "  --cache-compact  fold the cache's shard journals into snapshots\n"
       "                   and migrate legacy stores (needs --cache-dir)\n"
-      "  --replan-from DIGEST  incremental re-plan against the cache\n"
-      "                   store of a previous SOC revision: only\n"
-      "                   partitions with changed per-core digests are\n"
-      "                   re-packed (needs --cache-dir)\n"
-      "  --json FILE      write results as JSON (msoc-sweep-v1;\n"
-      "                   msoc-frontier-v1 with --frontier)\n"
+      "  --replan-from DIGEST  incremental re-plan of a --sweep/--frontier\n"
+      "                   against the cache store of a previous SOC\n"
+      "                   revision: only partitions with changed per-core\n"
+      "                   digests are re-packed (needs --cache-dir)\n"
+      "  --json FILE      write results as JSON: msoc-sweep-v1..v4 (a\n"
+      "                   single plan is a one-case sweep) or, with\n"
+      "                   --frontier, msoc-frontier-v1..v4 (docs/formats.md)\n"
       "  --gantt          print an ASCII Gantt chart\n"
       "  --csv FILE       export schedule CSV (result table with\n"
       "                   --sweep/--frontier)\n"
@@ -157,154 +89,69 @@ void print_usage() {
       "  --help           this text");
 }
 
-std::vector<int> parse_width_list(const std::string& text) {
-  std::vector<int> widths;
-  for (const std::string_view field : msoc::split_fields(text, ",")) {
-    const auto v = msoc::parse_int(field);
-    msoc::require(v.has_value() && *v >= 1,
-                  "--widths needs comma-separated integers >= 1");
-    widths.push_back(static_cast<int>(*v));
-  }
-  msoc::require(!widths.empty(), "--widths needs at least one width");
-  return widths;
-}
-
-std::vector<double> parse_power_list(const std::string& text) {
-  std::vector<double> powers;
-  for (const std::string_view field : msoc::split_fields(text, ",")) {
-    const auto v = msoc::parse_double(field);
-    // std::isfinite: parse_double accepts "nan"/"inf", and a NaN
-    // budget would break the cache's EntryKey ordering downstream.
-    msoc::require(v.has_value() && std::isfinite(*v) && *v >= 0.0,
-                  "--max-power needs comma-separated finite numbers >= 0");
-    powers.push_back(*v);
-  }
-  msoc::require(!powers.empty(), "--max-power needs at least one budget");
-  return powers;
-}
-
-msoc::soc::PowerWindow parse_power_window(const std::string& text) {
-  if (text == "0") return {};  // force-unwindowed
-  const std::size_t colon = text.find(':');
-  msoc::require(colon != std::string::npos,
-                "--power-window needs CYCLES:LIMIT (or 0 = unwindowed)");
-  const auto cycles =
-      msoc::parse_int(std::string_view(text).substr(0, colon));
-  const auto limit =
-      msoc::parse_double(std::string_view(text).substr(colon + 1));
-  msoc::require(cycles.has_value() && *cycles >= 1,
-                "--power-window needs an integer cycle count >= 1");
-  msoc::require(limit.has_value() && std::isfinite(*limit) && *limit > 0.0,
-                "--power-window needs a finite limit > 0");
-  return {static_cast<msoc::Cycles>(*cycles), *limit};
-}
-
-Options parse_args(int argc, char** argv) {
-  Options options;
-  const auto value = [&](int& i, const char* flag) -> std::string {
-    if (i + 1 >= argc) {
-      throw msoc::InfeasibleError(std::string(flag) + " needs a value");
-    }
-    return argv[++i];
-  };
+Cli parse_args(int argc, char** argv) {
+  Cli cli;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") options.help = true;
-    else if (arg == "--soc") options.soc_file = value(i, "--soc");
-    else if (arg == "--bench") options.bench = value(i, "--bench");
-    else if (arg == "--width") {
-      const auto v = msoc::parse_int(value(i, "--width"));
-      msoc::require(v.has_value() && *v >= 1, "--width needs an integer >= 1");
-      options.width = static_cast<int>(*v);
-    } else if (arg == "--widths") {
-      options.widths = parse_width_list(value(i, "--widths"));
-    } else if (arg == "--max-power") {
-      options.max_powers = parse_power_list(value(i, "--max-power"));
-    } else if (arg == "--power-window") {
-      options.power_window = parse_power_window(value(i, "--power-window"));
-    } else if (arg == "--wt") {
-      const auto v = msoc::parse_double(value(i, "--wt"));
-      msoc::require(v.has_value() && *v >= 0.0 && *v <= 1.0,
-                    "--wt needs a number in [0,1]");
-      options.w_time = *v;
-    } else if (arg == "--exhaustive") options.exhaustive = true;
-    else if (arg == "--epsilon") {
-      const auto v = msoc::parse_double(value(i, "--epsilon"));
-      msoc::require(v.has_value() && *v >= 0.0, "--epsilon needs a number >= 0");
-      options.epsilon = *v;
-    } else if (arg == "--jobs") {
-      const auto v = msoc::parse_int(value(i, "--jobs"));
-      msoc::require(v.has_value() && *v >= 0, "--jobs needs an integer >= 0");
-      options.jobs = static_cast<int>(*v);
-    } else if (arg == "--sweep") options.sweep = true;
-    else if (arg == "--frontier") options.frontier = true;
-    else if (arg == "--cache-compact") options.cache_compact = true;
-    else if (arg == "--cache-dir") options.cache_dir = value(i, "--cache-dir");
-    else if (arg == "--replan-from") {
-      options.replan_from = value(i, "--replan-from");
-    }
-    else if (arg == "--json") options.json_file = value(i, "--json");
-    else if (arg == "--gantt") options.gantt = true;
-    else if (arg == "--csv") options.csv_file = value(i, "--csv");
-    else if (arg == "--validate") options.validate = true;
-    else if (arg == "--daemon") options.daemon = value(i, "--daemon");
-    else if (arg == "--ping") options.ping = true;
-    else if (arg == "--shutdown") options.shutdown_daemon = true;
-    else {
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) throw msoc::InfeasibleError(arg + " needs a value");
+      return argv[++i];
+    };
+    if (PlanRequest::apply_flag(cli.request, arg, value)) continue;
+    if (arg == "--help" || arg == "-h") {
+      cli.help = true;
+    } else if (arg == "--soc") {
+      cli.soc_file = value();
+    } else if (arg == "--cache-dir") {
+      cli.cache_dir = value();
+    } else if (arg == "--cache-compact") {
+      cli.cache_compact = true;
+    } else if (arg == "--json") {
+      cli.json_file = value();
+    } else if (arg == "--csv") {
+      cli.csv_file = value();
+    } else if (arg == "--gantt") {
+      cli.gantt = true;
+    } else if (arg == "--validate") {
+      cli.validate = true;
+    } else if (arg == "--daemon") {
+      cli.daemon = value();
+    } else if (arg == "--ping") {
+      cli.ping = true;
+    } else if (arg == "--shutdown") {
+      cli.shutdown_daemon = true;
+    } else {
       throw msoc::InfeasibleError("unknown argument: " + arg);
     }
   }
-  msoc::require(!(options.sweep && options.frontier),
-                "--sweep and --frontier are mutually exclusive");
-  msoc::require(!(options.soc_file && options.bench),
-                "--soc and --bench are mutually exclusive");
-  msoc::require(!(options.width && options.widths),
-                "--width and --widths are mutually exclusive");
-  msoc::require(!options.cache_compact ||
-                    (!options.sweep && !options.frontier),
+  // Rules on this tool's own flags; PlanRequest::validate owns the
+  // planning fields.
+  const bool single_plan = cli.request.op == "plan";
+  msoc::require(!cli.cache_compact || single_plan,
                 "--cache-compact is a standalone maintenance mode; drop "
                 "--sweep/--frontier");
-  msoc::require(!options.cache_compact || options.cache_dir.has_value(),
+  msoc::require(!cli.cache_compact || !cli.cache_dir.empty(),
                 "--cache-compact needs --cache-dir");
-  msoc::require(!options.cache_dir || options.sweep || options.frontier ||
-                    options.cache_compact,
+  msoc::require(cli.cache_dir.empty() || !single_plan || cli.cache_compact,
                 "--cache-dir needs --sweep, --frontier or --cache-compact");
-  msoc::require(!options.replan_from || options.cache_dir.has_value() ||
-                    options.daemon.has_value(),
+  msoc::require(!cli.request.replan_from || !cli.cache_dir.empty() ||
+                    !cli.daemon.empty(),
                 "--replan-from needs --cache-dir (the baseline store) or "
                 "--daemon (the daemon's cache)");
-  msoc::require(!options.max_powers || options.sweep || options.frontier ||
-                    options.max_powers->size() == 1,
-                "a single plan takes exactly one --max-power value");
-  msoc::require(options.daemon.has_value() ||
-                    (!options.ping && !options.shutdown_daemon),
+  msoc::require((!cli.gantt && !cli.validate) || single_plan,
+                "--gantt/--validate need a single plan; drop them or "
+                "--sweep/--frontier");
+  msoc::require(!cli.daemon.empty() || (!cli.ping && !cli.shutdown_daemon),
                 "--ping/--shutdown need --daemon");
-  msoc::require(!(options.ping && options.shutdown_daemon),
+  msoc::require(!(cli.ping && cli.shutdown_daemon),
                 "--ping and --shutdown are mutually exclusive");
-  msoc::require(!options.daemon ||
-                    (!options.cache_dir && !options.cache_compact &&
-                     !options.gantt && !options.validate),
+  msoc::require(cli.daemon.empty() ||
+                    (cli.cache_dir.empty() && !cli.cache_compact &&
+                     !cli.gantt && !cli.validate),
                 "--daemon handles --sweep/--frontier/plan requests only; "
                 "drop --cache-dir/--cache-compact/--gantt/--validate "
                 "(the daemon's cache is configured server-side)");
-  return options;
-}
-
-msoc::soc::Soc make_bench(const std::string& name) {
-  using namespace msoc::soc;
-  if (name == "p93791m") return make_p93791m();
-  if (name == "d695m") return make_d695m();
-  if (name == "p93791") return make_p93791();
-  if (name == "d695") return make_d695();
-  throw msoc::InfeasibleError(
-      "unknown --bench name: " + name +
-      " (expected p93791m, d695m, p93791 or d695)");
-}
-
-msoc::soc::Soc load_soc(const Options& options) {
-  if (options.soc_file) return msoc::soc::load_soc_file(*options.soc_file);
-  if (options.bench) return make_bench(*options.bench);
-  return msoc::soc::make_p93791m();
+  return cli;
 }
 
 void write_file(const std::string& path, const std::string& content,
@@ -315,54 +162,125 @@ void write_file(const std::string& path, const std::string& content,
   out << content;
 }
 
-std::vector<int> width_ladder(const Options& options) {
-  if (options.widths) return *options.widths;
-  if (options.width) return {*options.width};
-  return {16, 24, 32, 48, 64};
-}
-
-std::vector<double> power_ladder(const Options& options) {
-  if (options.max_powers) return *options.max_powers;
-  return {-1.0};  // inherit the SOC's MaxPower declaration
-}
-
-int run_frontier_mode(const Options& options) {
-  using namespace msoc;
-  require(!options.gantt && !options.validate,
-          "--gantt/--validate need a single plan; drop them or --frontier");
-  const soc::Soc soc = load_soc(options);
-
-  std::optional<plan::ResultCache> cache;
-  if (options.cache_dir) cache.emplace(*options.cache_dir);
-
-  plan::FrontierOptions frontier;
-  frontier.widths = width_ladder(options);
-  frontier.max_powers = power_ladder(options);
-  if (options.power_window) {
-    frontier.packing.window_cycles = options.power_window->cycles;
-    frontier.packing.window_limit = options.power_window->limit;
+/// Writes --json and --csv, whichever surface produced the document.
+void write_outputs(const Cli& cli, const std::string& document,
+                   const std::string& csv) {
+  if (!cli.json_file.empty()) {
+    write_file(cli.json_file, document, "JSON");
+    std::printf("results written to %s\n", cli.json_file.c_str());
   }
-  const double w_time = options.w_time.value_or(0.5);
-  frontier.weights = {w_time, 1.0 - w_time};
-  frontier.exhaustive = options.exhaustive;
-  frontier.epsilon = options.epsilon;
-  frontier.jobs = options.jobs;
-  frontier.cache = cache.has_value() ? &*cache : nullptr;
+  if (!cli.csv_file.empty()) {
+    write_file(cli.csv_file, csv, "CSV");
+    std::printf("%s written to %s\n",
+                cli.request.op == "plan" ? "schedule" : "result table",
+                cli.csv_file.c_str());
+  }
+}
 
-  plan::FrontierEngine engine(soc, frontier);
-  std::printf("frontier: SOC %s (digest %s), %zu widths, %s, w_T=%.2f, "
+/// Runs this invocation against the daemon.  Returns the process exit
+/// code, or -1 when the caller should fall back to in-process
+/// planning: nothing is listening, or the daemon rejected the
+/// connection as saturated ("daemon busy").  Either way the fallback
+/// runs the same request through the same plan::execute the daemon
+/// calls, so callers lose availability never correctness.
+int run_daemon_mode(const Cli& cli) {
+  using namespace msoc;
+  const bool control = !cli.request.planning();
+  std::optional<net::UnixSocket> socket =
+      net::UnixSocket::connect_if_listening(cli.daemon);
+  if (!socket.has_value()) {
+    if (control) {
+      std::fprintf(stderr, "error: no daemon listening on %s\n",
+                   cli.daemon.c_str());
+      return 1;
+    }
+    std::fprintf(stderr,
+                 "msoc_plan: no daemon listening on %s; planning "
+                 "in-process\n",
+                 cli.daemon.c_str());
+    return -1;
+  }
+  socket->send_frame(cli.request.to_json());
+  const net::FrameResult frame = socket->recv_frame();
+  require(frame.status == net::FrameStatus::kOk,
+          std::string("daemon reply unusable (") +
+              net::frame_status_name(frame.status) + ")");
+  const JsonValue reply = parse_json(frame.payload, "daemon reply");
+  require(reply.at("schema").as_string() == "msoc-rpc-v1",
+          "daemon reply has an unknown schema");
+  if (!reply.at("ok").as_bool()) {
+    const std::string& error = reply.at("error").as_string();
+    // A saturated daemon is an availability condition, not a planning
+    // failure: plan in-process instead of surfacing a hard error
+    // (except for --ping/--shutdown, which are about the daemon
+    // itself).
+    if (!control && error.starts_with("daemon busy")) {
+      std::fprintf(stderr, "msoc_plan: %s; planning in-process\n",
+                   error.c_str());
+      return -1;
+    }
+    std::fprintf(stderr, "error: daemon: %s\n", error.c_str());
+    return 1;
+  }
+  if (control) {
+    std::printf("daemon on %s is %s\n", cli.daemon.c_str(),
+                cli.ping ? "alive" : "draining");
+    return 0;
+  }
+  const std::string& document = reply.at("document").as_string();
+  if (cli.json_file.empty()) std::fputs(document.c_str(), stdout);
+  write_outputs(cli, document, reply.at("csv").as_string());
+  return 0;
+}
+
+int run_compact_mode(const Cli& cli) {
+  using namespace msoc;
+  plan::ResultCache cache(cli.cache_dir);
+  const plan::CompactionStats stats = cache.compact();
+  std::printf("cache-compact: %s\n", cache.directory().c_str());
+  std::printf("  %d shard journals folded (%lld records), %d snapshots "
+              "written, %d legacy stores migrated\n",
+              stats.shards_compacted, stats.records_folded,
+              stats.snapshots_written, stats.legacy_files_migrated);
+  if (cache.corrupt_files() > 0) {
+    std::printf("  %d corrupt artifacts ignored\n", cache.corrupt_files());
+  }
+  if (cache.torn_tails() > 0) {
+    std::printf("  %lld torn journal tails recovered\n", cache.torn_tails());
+  }
+  return 0;
+}
+
+void print_cache_line(const std::string& directory, long long hits,
+                      long long records, int corrupt_files) {
+  char corrupt_tag[48] = "";
+  if (corrupt_files > 0) {
+    std::snprintf(corrupt_tag, sizeof corrupt_tag,
+                  ", %d corrupt files ignored", corrupt_files);
+  }
+  std::printf("cache: %s (%lld hits, %lld new results%s)\n",
+              directory.c_str(), hits, records, corrupt_tag);
+}
+
+void print_replan_line(const std::string& baseline, int reused,
+                       int dirty_partitions) {
+  std::printf("replan: baseline %s, %d results spliced, %d dirty "
+              "partitions\n",
+              baseline.c_str(), reused, dirty_partitions);
+}
+
+/// Summary of a frontier run; returns the exit code.
+int report_frontier(const Cli& cli, const msoc::plan::FrontierResult& result,
+                    const msoc::plan::ResultCache* cache) {
+  const PlanRequest& request = cli.request;
+  std::printf("frontier: SOC %s (digest %s), %zu cells, %s, w_T=%.2f, "
               "jobs=%d\n",
-              soc.name().c_str(), engine.digest().c_str(),
-              frontier.widths.size(),
-              options.exhaustive ? "exhaustive" : "Cost_Optimizer", w_time,
-              options.jobs);
-  const plan::FrontierResult result =
-      options.replan_from ? engine.replan(*options.replan_from)
-                          : engine.run();
-  if (cache.has_value()) cache->flush();
-
+              result.soc_name.c_str(), result.digest.c_str(),
+              result.points.size(),
+              request.exhaustive ? "exhaustive" : "Cost_Optimizer",
+              result.w_time, request.jobs);
   int failures = 0;
-  for (const plan::FrontierPoint& p : result.points) {
+  for (const msoc::plan::FrontierPoint& p : result.points) {
     char power_tag[32] = "";
     if (p.max_power > 0.0) {
       std::snprintf(power_tag, sizeof power_tag, "  P=%-8.6g", p.max_power);
@@ -381,41 +299,23 @@ int run_frontier_mode(const Options& options) {
     }
   }
   std::printf("TAM-optimizer evaluations: %d (cache hits %d, pruned %d, "
-              "%zu combinations/width)\n",
+              "%d combinations/width)\n",
               result.evaluations, result.cache_hits, result.pruned,
-              result.points.empty()
-                  ? static_cast<std::size_t>(0)
-                  : static_cast<std::size_t>(
-                        result.points.front().total_combinations));
+              result.points.empty() ? 0
+                                    : result.points.front().total_combinations);
   if (!result.replanned_from.empty()) {
-    std::printf("replan: baseline %s, %d results spliced, %d dirty "
-                "partitions\n",
-                result.replanned_from.c_str(), result.reused,
-                result.dirty_partitions);
-  } else if (options.replan_from) {
+    print_replan_line(result.replanned_from, result.reused,
+                      result.dirty_partitions);
+  } else if (request.replan_from) {
     std::printf("replan: baseline %s unusable, planned cold\n",
-                options.replan_from->c_str());
+                request.replan_from->c_str());
   }
   std::printf("test-time frontier is %s across widths\n",
               result.time_monotone ? "monotone non-increasing"
                                    : "NOT monotone (packer anomaly)");
-  if (cache.has_value()) {
-    char corrupt_tag[48] = "";
-    if (cache->corrupt_files() > 0) {
-      std::snprintf(corrupt_tag, sizeof corrupt_tag,
-                    ", %d corrupt files ignored", cache->corrupt_files());
-    }
-    std::printf("cache: %s (%lld hits, %lld new results%s)\n",
-                cache->directory().c_str(), cache->hits(),
-                cache->records(), corrupt_tag);
-  }
-  if (options.json_file) {
-    write_file(*options.json_file, result.to_json(), "JSON");
-    std::printf("results written to %s\n", options.json_file->c_str());
-  }
-  if (options.csv_file) {
-    write_file(*options.csv_file, result.to_csv(), "CSV");
-    std::printf("result table written to %s\n", options.csv_file->c_str());
+  if (cache != nullptr) {
+    print_cache_line(cache->directory(), cache->hits(),
+                     cache->records(), cache->corrupt_files());
   }
   if (failures == static_cast<int>(result.points.size())) {
     std::fprintf(stderr, "error: every frontier width was infeasible\n");
@@ -424,197 +324,14 @@ int run_frontier_mode(const Options& options) {
   return 0;
 }
 
-/// The msoc-rpc-v1 request envelope for this invocation.  Only
-/// explicitly-passed flags are serialized — absent fields resolve to
-/// the same defaults server-side, so a daemon reply stays
-/// byte-identical to the in-process --json output.
-std::string build_daemon_request(const Options& options) {
-  using msoc::json_escape;
-  std::ostringstream out;
-  out << "{\"schema\":\"msoc-rpc-v1\",\"op\":\"";
-  if (options.ping) out << "ping";
-  else if (options.shutdown_daemon) out << "shutdown";
-  else if (options.sweep) out << "sweep";
-  else if (options.frontier) out << "frontier";
-  else out << "plan";
-  out << '"';
-  if (options.ping || options.shutdown_daemon) {
-    out << '}';
-    return out.str();
-  }
-  if (options.bench) {
-    out << ",\"bench\":\"" << json_escape(*options.bench) << '"';
-  }
-  if (options.soc_file) {
-    // The daemon may run in another directory (or namespace): ship the
-    // .soc content itself, not the path.
-    out << ",\"soc_text\":\""
-        << json_escape(msoc::read_file(*options.soc_file)) << '"';
-  }
-  if (options.width) out << ",\"width\":" << *options.width;
-  if (options.widths) {
-    out << ",\"widths\":[";
-    for (std::size_t i = 0; i < options.widths->size(); ++i) {
-      out << (i == 0 ? "" : ",") << (*options.widths)[i];
-    }
-    out << ']';
-  }
-  if (options.max_powers) {
-    out << ",\"max_powers\":[";
-    for (std::size_t i = 0; i < options.max_powers->size(); ++i) {
-      out << (i == 0 ? "" : ",")
-          << msoc::round_trip_double((*options.max_powers)[i]);
-    }
-    out << ']';
-  }
-  if (options.w_time) {
-    out << ",\"wt\":" << msoc::round_trip_double(*options.w_time);
-  }
-  if (options.power_window) {
-    out << ",\"window_limit\":"
-        << msoc::round_trip_double(options.power_window->limit);
-    if (options.power_window->cycles > 0) {
-      out << ",\"window_cycles\":" << options.power_window->cycles;
-    }
-  }
-  if (options.exhaustive) out << ",\"exhaustive\":true";
-  if (options.epsilon != 0.0) {
-    out << ",\"epsilon\":" << msoc::round_trip_double(options.epsilon);
-  }
-  if (options.jobs != 1) out << ",\"jobs\":" << options.jobs;
-  if (options.replan_from) {
-    out << ",\"replan_from\":\"" << json_escape(*options.replan_from)
-        << '"';
-  }
-  out << '}';
-  return out.str();
-}
-
-/// Runs this invocation against the daemon.  Returns the process exit
-/// code, or -1 when the caller should fall back to in-process
-/// planning: nothing is listening, or the daemon rejected the
-/// connection as saturated ("daemon busy").  Either way the fallback
-/// produces documents byte-identical to what the daemon would have
-/// returned (the rpc contract), so callers lose availability never
-/// correctness.
-int run_daemon_mode(const Options& options) {
-  using namespace msoc;
-  std::optional<net::UnixSocket> socket =
-      net::UnixSocket::connect_if_listening(*options.daemon);
-  if (!socket.has_value()) {
-    if (options.ping || options.shutdown_daemon) {
-      std::fprintf(stderr, "error: no daemon listening on %s\n",
-                   options.daemon->c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "msoc_plan: no daemon listening on %s; planning "
-                 "in-process\n",
-                 options.daemon->c_str());
-    return -1;
-  }
-  socket->send_frame(build_daemon_request(options));
-  const net::FrameResult frame = socket->recv_frame();
-  require(frame.status == net::FrameStatus::kOk,
-          std::string("daemon reply unusable (") +
-              net::frame_status_name(frame.status) + ")");
-  const JsonValue reply = parse_json(frame.payload, "daemon reply");
-  require(reply.at("schema").as_string() == "msoc-rpc-v1",
-          "daemon reply has an unknown schema");
-  if (!reply.at("ok").as_bool()) {
-    const std::string& error = reply.at("error").as_string();
-    // A saturated daemon is an availability condition, not a planning
-    // failure: plan in-process instead of surfacing a hard error
-    // (except for --ping/--shutdown, which are about the daemon
-    // itself).
-    if (!options.ping && !options.shutdown_daemon &&
-        error.rfind("daemon busy", 0) == 0) {
-      std::fprintf(stderr, "msoc_plan: %s; planning in-process\n",
-                   error.c_str());
-      return -1;
-    }
-    std::fprintf(stderr, "error: daemon: %s\n", error.c_str());
-    return 1;
-  }
-  if (options.ping) {
-    std::printf("daemon on %s is alive\n", options.daemon->c_str());
-    return 0;
-  }
-  if (options.shutdown_daemon) {
-    std::printf("daemon on %s is draining\n", options.daemon->c_str());
-    return 0;
-  }
-  const std::string& document = reply.at("document").as_string();
-  if (options.json_file) {
-    write_file(*options.json_file, document, "JSON");
-    std::printf("results written to %s\n", options.json_file->c_str());
-  } else {
-    std::fputs(document.c_str(), stdout);
-  }
-  if (options.csv_file) {
-    write_file(*options.csv_file, reply.at("csv").as_string(), "CSV");
-    std::printf("result table written to %s\n", options.csv_file->c_str());
-  }
-  return 0;
-}
-
-int run_compact_mode(const Options& options) {
-  using namespace msoc;
-  plan::ResultCache cache(*options.cache_dir);
-  const plan::CompactionStats stats = cache.compact();
-  std::printf("cache-compact: %s\n", cache.directory().c_str());
-  std::printf("  %d shard journals folded (%lld records), %d snapshots "
-              "written, %d legacy stores migrated\n",
-              stats.shards_compacted, stats.records_folded,
-              stats.snapshots_written, stats.legacy_files_migrated);
-  if (cache.corrupt_files() > 0) {
-    std::printf("  %d corrupt artifacts ignored\n", cache.corrupt_files());
-  }
-  if (cache.torn_tails() > 0) {
-    std::printf("  %lld torn journal tails recovered\n", cache.torn_tails());
-  }
-  return 0;
-}
-
-int run_sweep_mode(const Options& options) {
-  using namespace msoc;
-  require(!options.gantt && !options.validate,
-          "--gantt/--validate need a single plan; drop them or --sweep");
-  plan::SweepConfig config;
-  if (options.soc_file || options.bench) {
-    config.socs.push_back(load_soc(options));
-  } else {
-    config = plan::default_benchmark_sweep();
-  }
-  // An explicit --width / --widths / --max-power / --wt narrows (or
-  // fans out) the sweep.
-  if (options.width || options.widths) {
-    config.tam_widths = width_ladder(options);
-  }
-  if (options.max_powers) config.max_powers = *options.max_powers;
-  if (options.power_window) {
-    config.window_cycles = options.power_window->cycles;
-    config.window_limit = options.power_window->limit;
-  }
-  if (options.w_time) config.time_weights = {*options.w_time};
-  config.exhaustive = options.exhaustive;
-  config.epsilon = options.epsilon;
-  config.jobs = options.jobs;
-  if (options.cache_dir) config.cache_dir = *options.cache_dir;
-  if (options.replan_from) config.replan_from = *options.replan_from;
-
-  std::printf("sweep: %zu SOCs x %zu widths x %zu powers x %zu weights = "
-              "%zu cases (%s, jobs=%d%s%s)\n",
-              config.socs.size(), config.tam_widths.size(),
-              config.max_powers.size(),
-              config.time_weights.size(), config.case_count(),
-              config.exhaustive ? "exhaustive" : "Cost_Optimizer",
-              config.jobs, config.cache_dir.empty() ? "" : ", cache ",
-              config.cache_dir.c_str());
-  const plan::SweepResult result = plan::run_sweep(config);
-
+/// Summary of a sweep; returns the exit code.
+int report_sweep(const Cli& cli, const msoc::plan::SweepResult& result) {
+  std::printf("sweep: %zu cases (%s, jobs=%d%s%s)\n", result.rows.size(),
+              cli.request.exhaustive ? "exhaustive" : "Cost_Optimizer",
+              cli.request.jobs, cli.cache_dir.empty() ? "" : ", cache ",
+              cli.cache_dir.c_str());
   int failures = 0;
-  for (const plan::SweepRow& row : result.rows) {
+  for (const msoc::plan::SweepRow& row : result.rows) {
     char power_tag[32] = "";
     if (row.max_power > 0.0) {
       std::snprintf(power_tag, sizeof power_tag, " P=%-8.6g",
@@ -635,28 +352,12 @@ int run_sweep_mode(const Options& options) {
   std::printf("sweep finished in %.1f ms (%d infeasible of %zu cases)\n",
               result.total_wall_ms, failures, result.rows.size());
   if (!result.replanned_from.empty()) {
-    std::printf("replan: baseline %s, %d results spliced, %d dirty "
-                "partitions\n",
-                result.replanned_from.c_str(), result.reused,
-                result.dirty_partitions);
+    print_replan_line(result.replanned_from, result.reused,
+                      result.dirty_partitions);
   }
   if (result.cache_used) {
-    char corrupt_tag[48] = "";
-    if (result.cache_corrupt_files > 0) {
-      std::snprintf(corrupt_tag, sizeof corrupt_tag,
-                    ", %d corrupt files ignored",
-                    result.cache_corrupt_files);
-    }
-    std::printf("cache: %lld hits, %lld new results%s\n",
-                result.cache_hits, result.cache_records, corrupt_tag);
-  }
-  if (options.json_file) {
-    write_file(*options.json_file, result.to_json(), "JSON");
-    std::printf("results written to %s\n", options.json_file->c_str());
-  }
-  if (options.csv_file) {
-    write_file(*options.csv_file, result.to_csv(), "CSV");
-    std::printf("result table written to %s\n", options.csv_file->c_str());
+    print_cache_line(cli.cache_dir, result.cache_hits, result.cache_records,
+                     result.cache_corrupt_files);
   }
   if (failures == static_cast<int>(result.rows.size())) {
     std::fprintf(stderr, "error: every sweep case was infeasible\n");
@@ -665,137 +366,97 @@ int run_sweep_mode(const Options& options) {
   return 0;
 }
 
+/// Summary of a single plan (reported as a one-case sweep).
+void report_plan(const Cli& cli, const msoc::soc::Soc& soc,
+                 const msoc::plan::SweepRow& row) {
+  char power_note[48] = "";
+  if (row.max_power > 0.0) {
+    std::snprintf(power_note, sizeof power_note, "; max power %g",
+                  row.max_power);
+  }
+  char window_note[64] = "";
+  if (row.window_cycles > 0) {
+    std::snprintf(window_note, sizeof window_note,
+                  "; window %g/%llu cycles", row.window_limit,
+                  static_cast<unsigned long long>(row.window_cycles));
+  }
+  std::printf("SOC %s: %zu digital, %zu analog cores; TAM width %d%s%s; "
+              "w_T=%.2f w_A=%.2f; %s; jobs %d\n",
+              soc.name().c_str(), soc.digital_count(), soc.analog_count(),
+              row.tam_width, power_note, window_note, row.w_time,
+              1.0 - row.w_time,
+              cli.request.exhaustive ? "exhaustive" : "Cost_Optimizer",
+              cli.request.jobs);
+  std::printf("\nplan: %s\n", row.best_label.c_str());
+  std::printf("  C = %.2f  (C_time = %.2f, C_A = %.2f)\n", row.best_total,
+              row.c_time, row.c_area);
+  std::printf("  test time %llu cycles; %d of %d combinations evaluated\n",
+              static_cast<unsigned long long>(row.test_time),
+              row.evaluations, row.total_combinations);
+}
+
+int run_in_process(const Cli& cli) {
+  using namespace msoc;
+  const PlanRequest& request = cli.request;
+  std::optional<soc::Soc> soc;
+  if (request.soc_text) {
+    soc = soc::parse_soc_string(*request.soc_text, cli.soc_file);
+  } else if (!request.default_sweep()) {
+    soc = plan::builtin_soc(request.bench.value_or(PlanRequest::kDefaultBench));
+  }
+  std::optional<plan::ResultCache> cache;
+  if (!cli.cache_dir.empty()) cache.emplace(cli.cache_dir);
+  plan::ResultCache* const cache_ptr = cache ? &*cache : nullptr;
+
+  const PlanResult result =
+      plan::execute(request, soc ? &*soc : nullptr, cache_ptr);
+  int status = 0;
+  if (result.frontier) {
+    status = report_frontier(cli, *result.frontier, cache_ptr);
+  } else if (result.sweep && request.op == "sweep") {
+    status = report_sweep(cli, *result.sweep);
+  } else if (result.sweep && soc) {
+    report_plan(cli, *soc, result.sweep->rows.front());
+  }
+  write_outputs(cli, result.document, result.csv);
+  if (result.schedule && soc) {
+    if (cli.gantt) {
+      std::putchar('\n');
+      std::fputs(tam::render_gantt(*result.schedule).c_str(), stdout);
+    }
+    if (cli.validate) {
+      const testsim::ReplayReport report =
+          testsim::replay(*soc, *result.schedule);
+      std::printf("%s\n", report.summary().c_str());
+      if (!report.clean()) return 2;
+    }
+  }
+  return status;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace msoc;
   try {
-    const Options options = parse_args(argc, argv);
-    if (options.help) {
+    Cli cli = parse_args(argc, argv);
+    if (cli.help) {
       print_usage();
       return 0;
     }
-    if (options.daemon) {
-      const int exit_code = run_daemon_mode(options);
+    if (cli.ping) cli.request.op = "ping";
+    if (cli.shutdown_daemon) cli.request.op = "shutdown";
+    // The daemon may run in another directory (or namespace): the
+    // request carries the .soc content, not the path.
+    if (!cli.soc_file.empty()) cli.request.soc_text = read_file(cli.soc_file);
+    cli.request.validate();
+    if (!cli.daemon.empty()) {
+      const int exit_code = run_daemon_mode(cli);
       if (exit_code >= 0) return exit_code;
-      // No daemon listening: fall through to the in-process paths.
+      // No daemon to answer: plan in-process.
     }
-    if (options.cache_compact) return run_compact_mode(options);
-    if (options.sweep) return run_sweep_mode(options);
-    if (options.frontier) return run_frontier_mode(options);
-
-    const int width = options.width.value_or(32);
-    const double w_time = options.w_time.value_or(0.5);
-    const soc::Soc soc = load_soc(options);
-
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = width;
-    problem.weights = {w_time, 1.0 - w_time};
-    if (options.max_powers) {
-      problem.packing.max_power = options.max_powers->front();
-    }
-    if (options.power_window) {
-      problem.packing.window_cycles = options.power_window->cycles;
-      problem.packing.window_limit = options.power_window->limit;
-    }
-    const double max_power = tam::effective_max_power(soc, problem.packing);
-    const soc::PowerWindow window =
-        tam::effective_power_window(soc, problem.packing);
-
-    char power_note[48] = "";
-    if (max_power > 0.0) {
-      std::snprintf(power_note, sizeof power_note, "; max power %g",
-                    max_power);
-    }
-    char window_note[64] = "";
-    if (window.active()) {
-      std::snprintf(window_note, sizeof window_note,
-                    "; window %g/%llu cycles", window.limit,
-                    static_cast<unsigned long long>(window.cycles));
-    }
-    std::printf("SOC %s: %zu digital, %zu analog cores; TAM width %d%s%s; "
-                "w_T=%.2f w_A=%.2f; %s; jobs %d\n",
-                soc.name().c_str(), soc.digital_count(), soc.analog_count(),
-                width, power_note, window_note, w_time, 1.0 - w_time,
-                options.exhaustive ? "exhaustive" : "Cost_Optimizer",
-                options.jobs);
-
-    plan::CostModel model(problem);
-
-    plan::OptimizationResult result;
-    const auto started = std::chrono::steady_clock::now();
-    if (options.exhaustive) {
-      result = plan::optimize_exhaustive(model, options.jobs);
-    } else {
-      plan::HeuristicOptions heuristic;
-      heuristic.epsilon = options.epsilon;
-      heuristic.jobs = options.jobs;
-      result = plan::optimize_cost_heuristic(model, heuristic);
-    }
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - started)
-                               .count();
-    const plan::CombinationCost& best = result.best;
-
-    std::printf("\nplan: %s\n", best.label.c_str());
-    std::printf("  C = %.2f  (C_time = %.2f, C_A = %.2f)\n", best.total,
-                best.c_time, best.c_area);
-    std::printf("  test time %llu cycles; %d of %d combinations evaluated\n",
-                static_cast<unsigned long long>(best.test_time),
-                result.evaluations, result.total_combinations);
-
-    if (options.json_file) {
-      // Single-plan runs reuse the sweep schema with one case.
-      plan::SweepResult single;
-      single.exhaustive = options.exhaustive;
-      single.epsilon = options.epsilon;
-      // Match the sweep semantics: "threads actually used", never 0.
-      single.jobs = std::min(
-          options.jobs <= 0 ? hardware_jobs() : options.jobs,
-          std::max(result.total_combinations, 1));
-      single.total_wall_ms = wall_ms;
-      plan::SweepRow row;
-      row.soc_name = soc.name();
-      row.tam_width = width;
-      row.max_power = max_power;
-      if (window.active()) {
-        row.window_cycles = window.cycles;
-        row.window_limit = window.limit;
-      }
-      row.w_time = w_time;
-      row.algorithm = options.exhaustive ? "exhaustive" : "cost_optimizer";
-      row.best_label = best.label;
-      row.best_total = best.total;
-      row.c_time = best.c_time;
-      row.c_area = best.c_area;
-      row.test_time = best.test_time;
-      row.t_max = model.t_max();
-      row.evaluations = result.evaluations;
-      row.total_combinations = result.total_combinations;
-      row.evaluation_reduction_percent =
-          result.evaluation_reduction_percent();
-      row.wall_ms = wall_ms;
-      single.rows.push_back(std::move(row));
-      write_file(*options.json_file, single.to_json(), "JSON");
-      std::printf("results written to %s\n", options.json_file->c_str());
-    }
-
-    const tam::Schedule schedule = model.schedule_for(best.partition);
-    if (options.gantt) {
-      std::putchar('\n');
-      std::fputs(tam::render_gantt(schedule).c_str(), stdout);
-    }
-    if (options.csv_file) {
-      write_file(*options.csv_file, tam::schedule_to_csv(schedule), "CSV");
-      std::printf("schedule written to %s\n", options.csv_file->c_str());
-    }
-    if (options.validate) {
-      const testsim::ReplayReport report = testsim::replay(soc, schedule);
-      std::printf("%s\n", report.summary().c_str());
-      if (!report.clean()) return 2;
-    }
-    return 0;
+    if (cli.cache_compact) return run_compact_mode(cli);
+    return run_in_process(cli);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

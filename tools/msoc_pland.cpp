@@ -24,6 +24,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "msoc/common/error.hpp"
@@ -68,9 +69,10 @@ int main(int argc, char** argv) {
     };
     const auto int_value = [&](int& i, const char* flag, int lo) -> int {
       const auto v = parse_int(value(i, flag));
-      require(v.has_value() && *v >= lo,
-              std::string(flag) + " needs an integer >= " +
-                  std::to_string(lo));
+      if (!v || *v < lo || *v > std::numeric_limits<int>::max()) {
+        throw InfeasibleError(std::string(flag) + " needs an integer >= " +
+                              std::to_string(lo));
+      }
       return static_cast<int>(*v);
     };
     for (int i = 1; i < argc; ++i) {
