@@ -242,7 +242,7 @@ Soc make_synthetic_soc(const SyntheticSocParams& params) {
               params.min_chain_length > 0,
           "bad chain length range");
   require(params.max_patterns >= params.min_patterns &&
-              params.min_patterns >= 0,
+              params.min_patterns >= 1,
           "bad pattern range");
   require(params.max_test_power >= params.min_test_power &&
               params.min_test_power >= 0.0,

@@ -16,7 +16,7 @@ long long DigitalCore::total_scan_cells() const {
 void DigitalCore::validate() const {
   require(inputs >= 0 && outputs >= 0 && bidirs >= 0,
           "I/O counts must be non-negative: core " + name);
-  require(patterns >= 0, "pattern count must be non-negative: core " + name);
+  require(patterns >= 1, "pattern count must be positive: core " + name);
   require(power >= 0.0, "test power must be non-negative: core " + name);
   for (int len : scan_chain_lengths) {
     require(len > 0, "scan chain lengths must be positive: core " + name);

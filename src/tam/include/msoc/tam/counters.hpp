@@ -27,6 +27,16 @@ struct PackCounters {
 /// The process-global counter block.
 [[nodiscard]] PackCounters& pack_counters() noexcept;
 
+/// Records one admission check that walked `visited` skyline segments
+/// (a failed check is also a retry).  Every admission kernel counts
+/// through here.
+inline void count_admission(bool free, std::uint64_t visited) noexcept {
+  PackCounters& counters = pack_counters();
+  counters.admission_checks.fetch_add(1, std::memory_order_relaxed);
+  counters.events_visited.fetch_add(visited, std::memory_order_relaxed);
+  if (!free) counters.retries.fetch_add(1, std::memory_order_relaxed);
+}
+
 /// A plain-value copy for reporting and differencing.
 struct PackCounterSnapshot {
   std::uint64_t admission_checks = 0;

@@ -14,8 +14,9 @@
 // completion time over the current wire-usage profile — and, when the
 // SOC (or PackingOptions) declares a power budget, over the companion
 // instantaneous-power profile: no placement may push the power sum of
-// everything running past the budget.  Both profiles are coalescing
-// skylines (usage_profile.hpp / power_profile.hpp) and wrapper busy
+// everything running past the budget.  Both profiles are one coalescing
+// skyline kernel (capacity_profile.hpp), gathered with the windowed
+// profile into one PackTimeline (pack_timeline.hpp); wrapper busy
 // windows are coalescing interval sets (interval_set.hpp), so every
 // admission probe costs O(log n + segments crossed) instead of a full
 // walk of the timeline.

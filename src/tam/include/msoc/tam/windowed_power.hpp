@@ -1,6 +1,6 @@
 #pragma once
 // Sliding-window average-power profile for the rectangle packer: the
-// sustained-power companion to PowerProfile's instantaneous peak.  The
+// sustained-power companion to the instantaneous peak profile.  The
 // constraint is thermal — every window of W cycles must average at most
 // L power units, i.e. the load integral over any [w, w+W) may not
 // exceed L*W.
@@ -15,7 +15,7 @@
 // wholly before or after the candidate are already satisfied by the
 // profile's invariant and are never visited.
 //
-// Same retry-time contract as the other profiles: on failure report a
+// Same retry-time contract as CapacityProfile: on failure report a
 // strictly later start worth probing (the next load breakpoint, or one
 // window past the drain once the timeline is clear), so the packer's
 // fixpoint always advances.
@@ -26,6 +26,7 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/units.hpp"
+#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/counters.hpp"
 #include "msoc/tam/skyline.hpp"
 
@@ -39,9 +40,9 @@ class WindowedPowerProfile {
       : window_(window),
         limit_(limit),
         budget_(limit * static_cast<double>(window)),
-        // Sized like PowerProfile's slack, on the integral scale: the
-        // prefix sums accumulate ~1 ulp of residue per segment.
-        slack_(1e-9 * (budget_ < 1.0 ? 1.0 : budget_)) {
+        // The peak profile's slack on the integral scale: the prefix
+        // sums accumulate ~1 ulp of residue per segment.
+        slack_(power_slack(budget_)) {
     check_invariant(window > 0 && limit > 0.0,
                     "power window needs a positive length and limit");
   }
@@ -63,10 +64,7 @@ class WindowedPowerProfile {
     std::uint64_t visited = 0;
     const bool free =
         window_free_impl(start, power, duration, retry_at, &visited);
-    PackCounters& counters = pack_counters();
-    counters.admission_checks.fetch_add(1, std::memory_order_relaxed);
-    counters.events_visited.fetch_add(visited, std::memory_order_relaxed);
-    if (!free) counters.retries.fetch_add(1, std::memory_order_relaxed);
+    count_admission(free, visited);
     return free;
   }
 

@@ -4,15 +4,13 @@
 #include <array>
 #include <limits>
 #include <map>
-#include <optional>
 #include <queue>
 #include <set>
 #include <utility>
 
 #include "msoc/common/error.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/power_profile.hpp"
-#include "msoc/tam/usage_profile.hpp"
+#include "msoc/tam/pack_timeline.hpp"
 #include "msoc/tam/windowed_power.hpp"
 #include "msoc/wrapper/wrapper_design.hpp"
 
@@ -55,45 +53,11 @@ struct Placement {
 /// Secondary placement criterion when the makespan increase ties.
 enum class WidthPreference { kNarrow, kWide };
 
-/// Earliest start from `not_before` satisfying wires, blocked intervals
-/// AND the power budgets (when active).  Alternates the profiles' retry
-/// times to a fixpoint: each probe strictly advances, and past the
-/// horizon every profile is empty, so a pre-checked load (power <=
-/// budget, admits_alone, width <= capacity) always terminates.
-Cycles earliest_feasible(const UsageProfile& profile,
-                         const PowerProfile* power_profile,
-                         const WindowedPowerProfile* window_profile, int width,
-                         double power, Cycles duration,
-                         const IntervalSet& blocked) {
-  Cycles candidate = profile.earliest_start(width, duration, 0, blocked);
-  if (power_profile == nullptr && window_profile == nullptr) return candidate;
-  while (true) {
-    Cycles retry = 0;
-    if (power_profile != nullptr &&
-        !power_profile->window_free(candidate, power, duration, &retry)) {
-      check_invariant(retry > candidate, "power packer failed to advance");
-      candidate = profile.earliest_start(width, duration, retry, blocked);
-      continue;
-    }
-    if (window_profile != nullptr &&
-        !window_profile->window_free(candidate, power, duration, &retry)) {
-      check_invariant(retry > candidate,
-                      "windowed power packer failed to advance");
-      candidate = profile.earliest_start(width, duration, retry, blocked);
-      continue;
-    }
-    return candidate;
-  }
-}
-
 /// Picks the (start, width) pair minimizing (makespan increase, wire
 /// area, start); `widths` pairs each width with its duration.  For a
 /// fixed width the earliest feasible start is optimal under this cost,
 /// so only one candidate start per width needs to be examined.
-Placement choose_placement(const UsageProfile& profile,
-                           const PowerProfile* power_profile,
-                           const WindowedPowerProfile* window_profile,
-                           double power,
+Placement choose_placement(const PackTimeline& timeline, double power,
                            const std::vector<std::pair<int, Cycles>>& widths,
                            const IntervalSet& blocked,
                            Cycles current_makespan,
@@ -103,9 +67,8 @@ Placement choose_placement(const UsageProfile& profile,
 
   for (const auto& [width, duration] : widths) {
     {
-      const Cycles s = earliest_feasible(profile, power_profile,
-                                         window_profile, width, power,
-                                         duration, blocked);
+      const Cycles s =
+          timeline.earliest_feasible(width, power, duration, blocked);
       const Cycles makespan =
           std::max(current_makespan, s + duration);
       const Cycles area = static_cast<Cycles>(width) * duration;
@@ -220,8 +183,9 @@ std::vector<PlacementRef> make_order(const std::vector<DigitalItem>& digital,
 }
 
 /// Iterative repair: rip out the K tests finishing last and re-place
-/// them (largest first, all widths, gap fill).  K escalates 1,2,4,8 when
-/// a round fails to improve; repair stops when even K=8 cannot help.
+/// them (largest first, all widths, gap fill).  K escalates 1,2,4,8,16
+/// when a round fails to improve; repair stops when even K=16 cannot
+/// help.
 void improve_schedule(Schedule& schedule,
                       const std::vector<DigitalItem>& digital,
                       int max_rounds) {
@@ -245,25 +209,14 @@ void improve_schedule(Schedule& schedule,
     std::set<std::size_t> removed(order.begin(),
                                   order.begin() + static_cast<long>(k));
 
-    // Profiles of the surviving tests (power only when budgeted).
-    UsageProfile profile(schedule.tam_width);
-    std::optional<PowerProfile> power_profile;
-    if (schedule.max_power > 0.0) power_profile.emplace(schedule.max_power);
-    std::optional<WindowedPowerProfile> window_profile;
-    if (schedule.window_cycles > 0) {
-      window_profile.emplace(schedule.window_cycles, schedule.window_limit);
-    }
+    // Timeline of the surviving tests.
+    PackTimeline timeline(schedule.tam_width, schedule.max_power,
+                          {schedule.window_cycles, schedule.window_limit});
     Cycles rest_makespan = 0;
     for (std::size_t i = 0; i < schedule.tests.size(); ++i) {
       if (removed.count(i)) continue;
       const ScheduledTest& t = schedule.tests[i];
-      profile.reserve(t.start, t.duration, t.width);
-      if (power_profile.has_value()) {
-        power_profile->reserve(t.start, t.duration, t.power);
-      }
-      if (window_profile.has_value()) {
-        window_profile->reserve(t.start, t.duration, t.power);
-      }
+      timeline.reserve(t.start, t.duration, t.width, t.power);
       rest_makespan = std::max(rest_makespan, t.end());
     }
 
@@ -309,17 +262,9 @@ void improve_schedule(Schedule& schedule,
           }
         }
       }
-      const Placement p = choose_placement(
-          profile, power_profile.has_value() ? &*power_profile : nullptr,
-          window_profile.has_value() ? &*window_profile : nullptr,
-          victim.power, widths, group_busy, new_makespan);
-      profile.reserve(p.start, p.duration, p.width);
-      if (power_profile.has_value()) {
-        power_profile->reserve(p.start, p.duration, victim.power);
-      }
-      if (window_profile.has_value()) {
-        window_profile->reserve(p.start, p.duration, victim.power);
-      }
+      const Placement p = choose_placement(timeline, victim.power, widths,
+                                           group_busy, new_makespan);
+      timeline.reserve(p.start, p.duration, p.width, victim.power);
       new_makespan = std::max(new_makespan, p.start + p.duration);
       ScheduledTest t = victim;
       t.start = p.start;
@@ -375,15 +320,7 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
                    const std::vector<AnalogGroupItem>& groups, int tam_width,
                    double max_power, soc::PowerWindow window,
                    PlacementOrder order, WidthPreference pref) {
-  UsageProfile profile(tam_width);
-  std::optional<PowerProfile> power_profile;
-  if (max_power > 0.0) power_profile.emplace(max_power);
-  const PowerProfile* power_ptr =
-      power_profile.has_value() ? &*power_profile : nullptr;
-  std::optional<WindowedPowerProfile> window_profile;
-  if (window.active()) window_profile.emplace(window.cycles, window.limit);
-  const WindowedPowerProfile* window_ptr =
-      window_profile.has_value() ? &*window_profile : nullptr;
+  PackTimeline timeline(tam_width, max_power, window);
   Schedule schedule;
   schedule.tam_width = tam_width;
   schedule.max_power = max_power;
@@ -402,16 +339,9 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
       for (const wrapper::ParetoPoint& p : item.pareto) {
         widths.emplace_back(p.width, p.time);
       }
-      const Placement p = choose_placement(profile, power_ptr, window_ptr,
-                                           item.power, widths, {}, makespan,
-                                           pref);
-      profile.reserve(p.start, p.duration, p.width);
-      if (power_profile.has_value()) {
-        power_profile->reserve(p.start, p.duration, item.power);
-      }
-      if (window_profile.has_value()) {
-        window_profile->reserve(p.start, p.duration, item.power);
-      }
+      const Placement p = choose_placement(timeline, item.power, widths, {},
+                                           makespan, pref);
+      timeline.reserve(p.start, p.duration, p.width, item.power);
       makespan = std::max(makespan, p.start + p.duration);
       ScheduledTest t;
       t.kind = TestKind::kDigital;
@@ -429,16 +359,10 @@ Schedule pack_once(const std::vector<DigitalItem>& digital,
       IntervalSet busy;
       for (const AnalogRect& rect : item.rects) {
         const Placement p =
-            choose_placement(profile, power_ptr, window_ptr, rect.power,
+            choose_placement(timeline, rect.power,
                              {{rect.width, rect.duration}}, busy, makespan,
                              pref);
-        profile.reserve(p.start, p.duration, p.width);
-        if (power_profile.has_value()) {
-          power_profile->reserve(p.start, p.duration, rect.power);
-        }
-        if (window_profile.has_value()) {
-          window_profile->reserve(p.start, p.duration, rect.power);
-        }
+        timeline.reserve(p.start, p.duration, p.width, rect.power);
         makespan = std::max(makespan, p.start + p.duration);
         busy.insert(p.start, p.start + p.duration);
         ScheduledTest t;

@@ -7,6 +7,7 @@
 
 #include "msoc/common/csv.hpp"
 #include "msoc/common/error.hpp"
+#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/skyline.hpp"
 
 namespace msoc::tam {
@@ -114,12 +115,11 @@ std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
     }
   }
 
-  // Instantaneous power against the schedule's budget.  The tolerance
-  // matches PowerProfile's: floating-point accumulation leaves ulp-sized
-  // residue that must not read as a violation.
+  // Instantaneous power against the schedule's budget, with the packer's
+  // tolerance: floating-point accumulation leaves ulp-sized residue that
+  // must not read as a violation.
   if (schedule.max_power > 0.0) {
-    const double slack =
-        1e-9 * (schedule.max_power < 1.0 ? 1.0 : schedule.max_power);
+    const double slack = power_slack(schedule.max_power);
     Skyline<double> load;
     for (const ScheduledTest& t : schedule.tests) {
       if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
@@ -141,7 +141,7 @@ std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
   if (schedule.window_cycles > 0 && schedule.window_limit > 0.0) {
     const double budget = schedule.window_limit *
                           static_cast<double>(schedule.window_cycles);
-    const double slack = 1e-9 * (budget < 1.0 ? 1.0 : budget);
+    const double slack = power_slack(budget);
     Skyline<double> load;
     for (const ScheduledTest& t : schedule.tests) {
       if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);

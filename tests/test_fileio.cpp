@@ -69,7 +69,9 @@ TEST(FileIo, ReadRacesAConcurrentDeleterWithoutThrowing) {
   });
   for (int i = 0; i < 2000; ++i) {
     const auto hit = read_file_if_exists(path);
-    if (hit.has_value()) EXPECT_EQ(*hit, content);
+    if (hit.has_value()) {
+      EXPECT_EQ(*hit, content);
+    }
   }
   stop.store(true);
   deleter.join();

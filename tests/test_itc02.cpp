@@ -98,6 +98,23 @@ TEST(Itc02Parse, RejectsInvalidCoreData) {
                ParseError);
 }
 
+TEST(Itc02Parse, RejectsZeroPatternCount) {
+  // A core without patterns has a zero-length test, which no schedule
+  // can hold; it is rejected at parse time instead of reaching the packer.
+  try {
+    (void)parse_soc_string(
+        "SocName x\nModule 1 m\n  Inputs 1\n  Patterns 0\n"
+        "Module 2 n\n  Inputs 1\n  Patterns 3\n",
+        "zero.soc");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 5);
+    EXPECT_NE(std::string(e.what()).find("pattern count must be positive"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Itc02RoundTrip, WriteThenParseIsIdentity) {
   const Soc original = parse_soc_string(kSample);
   const std::string text = write_soc_string(original);

@@ -9,12 +9,12 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/soc/benchmarks.hpp"
+#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/power_profile.hpp"
+#include "msoc/tam/pack_timeline.hpp"
 #include "msoc/tam/windowed_power.hpp"
 #include "powered_fixtures.hpp"
 #include "msoc/tam/schedule.hpp"
-#include "msoc/tam/usage_profile.hpp"
 
 namespace msoc::tam {
 namespace {
@@ -241,18 +241,17 @@ TEST(PackingMonotonicity, FallbackCanBeDisabledForAblation) {
   EXPECT_LE(schedule_soc(s, 40, anomalous).makespan(), baseline);
 }
 
-TEST(UsageProfileRetry, OutOfOrderBlockedIntervalsFindTightestRetry) {
-  // window_free must clear EVERY overlapping blocked interval, whatever
-  // their insertion order: the minimal valid retry for a window of length
-  // 10 against {[40,55), [0,20), [18,42)} starting at 5 is 55.
-  UsageProfile profile(8);
+TEST(PackTimelineRetry, OutOfOrderBlockedIntervalsFindTightestRetry) {
+  // The blocked check must clear EVERY overlapping blocked interval,
+  // whatever their insertion order: the minimal valid retry for a window
+  // of length 10 against {[40,55), [0,20), [18,42)} starting at 5 is 55.
+  const PackTimeline timeline(8);
   IntervalSet unsorted;
   unsorted.insert(40, 55);
   unsorted.insert(0, 20);
   unsorted.insert(18, 42);
-  Cycles retry = 0;
-  EXPECT_FALSE(profile.window_free(5, 4, 10, unsorted, &retry));
-  EXPECT_EQ(retry, 55u);
+  EXPECT_EQ(unsorted.first_fit(5, 10), 55u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, unsorted, 5), 55u);
 
   // Same intervals inserted in sorted order must agree (the coalesced
   // union is identical).
@@ -260,35 +259,46 @@ TEST(UsageProfileRetry, OutOfOrderBlockedIntervalsFindTightestRetry) {
   sorted.insert(0, 20);
   sorted.insert(18, 42);
   sorted.insert(40, 55);
-  retry = 0;
-  EXPECT_FALSE(profile.window_free(5, 4, 10, sorted, &retry));
-  EXPECT_EQ(retry, 55u);
+  EXPECT_EQ(sorted.first_fit(5, 10), 55u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, sorted, 5), 55u);
 
   // A gap big enough for the window is found, not skipped: [20, 40) holds
   // a length-10 window even though a later interval starts at 40.
   IntervalSet gap;
   gap.insert(40, 55);
   gap.insert(0, 20);
-  EXPECT_EQ(profile.earliest_start(4, 10, 0, gap), 20u);
-  retry = 0;
-  EXPECT_TRUE(profile.window_free(20, 4, 10, gap, &retry));
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, gap), 20u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, gap, 20), 20u);
 }
 
-TEST(UsageProfileRetry, CapacityAndBlockedInteract) {
-  UsageProfile profile(8);
-  profile.reserve(0, 100, 6);  // only 2 wires free until t=100
+TEST(PackTimelineRetry, CapacityAndBlockedInteract) {
+  PackTimeline timeline(8);
+  timeline.reserve(0, 100, 6, 0.0);  // only 2 wires free until t=100
   // Width 4 cannot fit before 100; blocked interval [100, 120) in front.
   IntervalSet blocked;
   blocked.insert(100, 120);
-  EXPECT_EQ(profile.earliest_start(4, 10, 0, blocked), 120u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, blocked), 120u);
   // Without the blocked interval the capacity drop at 100 is the answer.
-  EXPECT_EQ(profile.earliest_start(4, 10, 0, {}), 100u);
+  EXPECT_EQ(timeline.earliest_feasible(4, 0.0, 10, {}), 100u);
 }
 
-// --- PowerProfile: the power companion to UsageProfile. ---
+TEST(PackTimelineRetry, PeakFailureRestartsTheWireCheck) {
+  // Wires are free from 0, but the peak budget only frees up at 50 —
+  // where the wires are taken until 80.
+  PackTimeline timeline(8, 100.0);
+  timeline.reserve(0, 50, 1, 70.0);
+  timeline.reserve(50, 30, 6, 0.0);
+  EXPECT_EQ(timeline.earliest_feasible(4, 40.0, 10, {}), 80u);
+  // An unconstrained timeline ignores the power entirely.
+  PackTimeline unpowered(8);
+  unpowered.reserve(0, 50, 1, 70.0);
+  EXPECT_EQ(unpowered.earliest_feasible(4, 40.0, 10, {}), 0u);
+}
 
-TEST(PowerProfileRetry, WindowAndRetrySemantics) {
-  PowerProfile profile(100.0);
+// --- CapacityProfile<double>: the instantaneous-power kernel. ---
+
+TEST(CapacityProfileRetry, WindowAndRetrySemantics) {
+  CapacityProfile<double> profile(100.0, power_slack(100.0));
   profile.reserve(0, 50, 70.0);
   profile.reserve(50, 50, 40.0);
   Cycles retry = 0;
@@ -303,10 +313,10 @@ TEST(PowerProfileRetry, WindowAndRetrySemantics) {
   EXPECT_TRUE(profile.window_free(100, 100.0, 10, &retry));
 }
 
-TEST(PowerProfileRetry, ExactBudgetLoadFitsAfterDrain) {
+TEST(CapacityProfileRetry, ExactBudgetLoadFitsAfterDrain) {
   // Float residue from +/- accumulation must not block a full-budget
   // load once everything else ended.
-  PowerProfile profile(100.0);
+  CapacityProfile<double> profile(100.0, power_slack(100.0));
   for (int i = 0; i < 100; ++i) {
     profile.reserve(static_cast<Cycles>(i), 1, 0.1 + i * 0.001);
   }
@@ -407,7 +417,7 @@ TEST(WindowedPowerRetry, RetryAdvancesToTheNextBreakpoint) {
   EXPECT_FALSE(p.window_free(3, 5.0, 5, &retry));
   EXPECT_EQ(retry, 10u);
   // From the breakpoint every straddling window sums to exactly the
-  // budget: admitted (within slack), like PowerProfile's exact fit.
+  // budget: admitted (within slack), like the peak profile's exact fit.
   EXPECT_TRUE(p.window_free(10, 5.0, 5, &retry));
 }
 

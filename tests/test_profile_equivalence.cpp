@@ -1,11 +1,12 @@
-// Property tests pinning the skyline-backed UsageProfile/PowerProfile
-// to the historical delta-map implementations they replaced.  The
-// reference classes below are verbatim ports of the pre-refactor code
-// (prefix-sum walks over a +/- delta map, fixpoint advance over an
-// unsorted blocked vector); the bit-identity claim in the refactor is
-// that the coalescing structures return the SAME fit/no-fit answer and
-// the SAME retry time on every query — which is what these tests check
-// on randomized workloads.
+// Property tests pinning the skyline-backed CapacityProfile kernel (as
+// the wire profile and as the peak-power profile) and PackTimeline's
+// wires-only fixpoint to the historical delta-map implementations they
+// replaced.  The reference classes below are verbatim ports of the
+// pre-refactor code (prefix-sum walks over a +/- delta map, fixpoint
+// advance over an unsorted blocked vector); the bit-identity claim in
+// the refactor is that the coalescing structures return the SAME
+// fit/no-fit answer and the SAME retry time on every query — which is
+// what these tests check on randomized workloads.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +16,9 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/rng.hpp"
+#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/interval_set.hpp"
-#include "msoc/tam/power_profile.hpp"
-#include "msoc/tam/usage_profile.hpp"
+#include "msoc/tam/pack_timeline.hpp"
 
 namespace msoc::tam {
 namespace {
@@ -154,11 +155,24 @@ class ReferencePowerProfile {
   std::map<Cycles, double> delta_;
 };
 
-TEST(ProfileEquivalence, UsageProfileMatchesDeltaMapOnRandomWorkloads) {
+/// One wire probe the way PackTimeline makes it: the blocked union
+/// first, then the wire kernel.
+bool wires_free(const CapacityProfile<long long>& wires,
+                const IntervalSet& blocked, Cycles start, int width,
+                Cycles duration, Cycles* retry_at) {
+  const Cycles clear = blocked.first_fit(start, duration);
+  if (clear != start) {
+    *retry_at = clear;
+    return false;
+  }
+  return wires.window_free(start, width, duration, retry_at);
+}
+
+TEST(ProfileEquivalence, WireProfileMatchesDeltaMapOnRandomWorkloads) {
   Rng rng(20260808);
   for (int round = 0; round < 25; ++round) {
     const int capacity = rng.uniform_int(8, 32);
-    UsageProfile skyline(capacity);
+    CapacityProfile<long long> skyline(capacity);
     ReferenceUsageProfile reference(capacity);
 
     // Interleave reservations and probes so the profiles are compared
@@ -178,7 +192,7 @@ TEST(ProfileEquivalence, UsageProfileMatchesDeltaMapOnRandomWorkloads) {
       Cycles new_retry = 0;
       Cycles old_retry = 0;
       const bool new_free =
-          skyline.window_free(start, width, duration, {}, &new_retry);
+          skyline.window_free(start, width, duration, &new_retry);
       const bool old_free =
           reference.window_free(start, width, duration, {}, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -197,13 +211,15 @@ TEST(ProfileEquivalence, BlockedWindowsMatchTheHistoricalFixpoint) {
   Rng rng(31337);
   for (int round = 0; round < 25; ++round) {
     const int capacity = rng.uniform_int(4, 16);
-    UsageProfile skyline(capacity);
+    CapacityProfile<long long> skyline(capacity);
+    PackTimeline timeline(capacity);
     ReferenceUsageProfile reference(capacity);
     for (int i = 0; i < 15; ++i) {
       const Cycles start = rng.uniform_u64(0, 300);
       const Cycles duration = rng.uniform_u64(1, 60);
       const int width = rng.uniform_int(1, capacity);
       skyline.reserve(start, duration, width);
+      timeline.reserve(start, duration, width, 0.0);
       reference.reserve(start, duration, width);
     }
     // Blocked intervals arrive unsorted and overlapping, exactly as the
@@ -223,27 +239,29 @@ TEST(ProfileEquivalence, BlockedWindowsMatchTheHistoricalFixpoint) {
       const int width = rng.uniform_int(1, capacity);
       Cycles new_retry = 0;
       Cycles old_retry = 0;
-      const bool new_free =
-          skyline.window_free(start, width, duration, merged, &new_retry);
+      const bool new_free = wires_free(skyline, merged, start, width,
+                                       duration, &new_retry);
       const bool old_free =
           reference.window_free(start, width, duration, raw, &old_retry);
       ASSERT_EQ(new_free, old_free)
           << "round=" << round << " start=" << start << " d=" << duration;
-      if (!new_free) ASSERT_EQ(new_retry, old_retry);
-      ASSERT_EQ(skyline.earliest_start(width, duration, start, merged),
+      if (!new_free) {
+        ASSERT_EQ(new_retry, old_retry);
+      }
+      ASSERT_EQ(timeline.earliest_feasible(width, 0.0, duration, merged, start),
                 reference.earliest_start(width, duration, start, raw));
     }
   }
 }
 
-TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnDyadicLoads) {
+TEST(ProfileEquivalence, PeakProfileMatchesDeltaMapOnDyadicLoads) {
   // Loads that are multiples of 0.25 accumulate exactly in double, so
   // the skyline and the prefix-sum walk agree bit-for-bit — decisions
   // AND retry times.
   Rng rng(555);
   for (int round = 0; round < 25; ++round) {
     const double budget = 0.25 * rng.uniform_int(8, 64);
-    PowerProfile skyline(budget);
+    CapacityProfile<double> skyline(budget, power_slack(budget));
     ReferencePowerProfile reference(budget);
     for (int op = 0; op < 120; ++op) {
       const double power = 0.25 * rng.uniform_int(1, 32);
@@ -265,19 +283,21 @@ TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnDyadicLoads) {
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)
           << "round=" << round << " start=" << start << " p=" << power;
-      if (!new_free) ASSERT_EQ(new_retry, old_retry);
+      if (!new_free) {
+        ASSERT_EQ(new_retry, old_retry);
+      }
     }
   }
 }
 
-TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnArbitraryLoads) {
+TEST(ProfileEquivalence, PeakProfileMatchesDeltaMapOnArbitraryLoads) {
   // Arbitrary doubles: reassociation can shift levels by ulps, but the
   // slack absorbs that on both sides, so with a fixed seed the answers
   // still agree (random loads never land within an ulp of the budget).
   Rng rng(777);
   for (int round = 0; round < 15; ++round) {
     const double budget = rng.uniform(5.0, 50.0);
-    PowerProfile skyline(budget);
+    CapacityProfile<double> skyline(budget, power_slack(budget));
     ReferencePowerProfile reference(budget);
     for (int op = 0; op < 100; ++op) {
       const double power = rng.uniform(0.1, budget);
@@ -298,7 +318,9 @@ TEST(ProfileEquivalence, PowerProfileMatchesDeltaMapOnArbitraryLoads) {
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)
           << "round=" << round << " start=" << start << " p=" << power;
-      if (!new_free) ASSERT_EQ(new_retry, old_retry);
+      if (!new_free) {
+        ASSERT_EQ(new_retry, old_retry);
+      }
     }
   }
 }

@@ -41,6 +41,8 @@ TEST(DigitalCoreModel, ValidationRejectsNonsense) {
   c = simple_digital("x");
   c.patterns = -5;
   EXPECT_THROW(c.validate(), InfeasibleError);
+  c.patterns = 0;  // a zero-length test cannot be scheduled
+  EXPECT_THROW(c.validate(), InfeasibleError);
 }
 
 AnalogCore two_test_core() {
@@ -144,6 +146,7 @@ TEST(SocModel, PowerBudgetAndPeaks) {
   DigitalCore d;
   d.name = "d";
   d.inputs = 1;
+  d.patterns = 1;
   d.power = 120.0;
   soc.add_digital(d);
   AnalogCore a = two_test_core();
@@ -158,6 +161,8 @@ TEST(SocModel, NegativePowersRejectedByValidation) {
   DigitalCore d;
   d.name = "d";
   d.inputs = 1;
+  d.patterns = 1;
+  EXPECT_NO_THROW(d.validate());
   d.power = -0.5;
   EXPECT_THROW(d.validate(), InfeasibleError);
   AnalogCore a = two_test_core();
