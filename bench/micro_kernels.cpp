@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the library's hot kernels:
 // FFT, Goertzel, wrapper design (BFD), Pareto-set computation, the
-// packer's interval-set/skyline structures, rectangle packing and
-// partition enumeration.
+// packer's interval-set/skyline structures and admission checks,
+// rectangle packing and partition enumeration.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include "msoc/tam/interval_set.hpp"
 #include "msoc/tam/packing.hpp"
 #include "msoc/tam/skyline.hpp"
+#include "msoc/tam/windowed_power.hpp"
 #include "msoc/wrapper/wrapper_design.hpp"
 
 namespace {
@@ -154,6 +155,37 @@ void BM_WireWindowFree(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_WireWindowFree)->RangeMultiplier(4)->Range(64, 4096)
+    ->Complexity(benchmark::oLogN);
+
+// The same probe against a populated sliding-window power profile, in
+// the scale ladder's shape: a 4096-cycle window, tests of power 1-10
+// under a sustained limit of 18, about 3 units of load on average.
+void BM_WindowedWindowFree(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  constexpr Cycles kWindow = 4096;
+  Rng rng(static_cast<std::uint64_t>(n) + 4);
+  tam::WindowedPowerProfile profile(kWindow, 18.0);
+  const Cycles span = static_cast<Cycles>(n) * kWindow;
+  for (int i = 0; i < n; ++i) {
+    profile.reserve(rng.uniform_u64(0, span), rng.uniform_u64(200, 4000),
+                    rng.uniform(1.0, 10.0));
+  }
+  tam::reset_pack_counters();
+  Cycles probe = 0;
+  for (auto _ : state) {
+    Cycles retry = 0;
+    benchmark::DoNotOptimize(profile.window_free(probe, 5.0, 2048, &retry));
+    probe = (probe + 1031) % span;
+  }
+  const tam::PackCounterSnapshot snap = tam::snapshot_pack_counters();
+  state.counters["events_per_check"] = benchmark::Counter(
+      snap.admission_checks == 0
+          ? 0.0
+          : static_cast<double>(snap.events_visited) /
+                static_cast<double>(snap.admission_checks));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_WindowedWindowFree)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oLogN);
 
 void BM_SchedulePack(benchmark::State& state) {

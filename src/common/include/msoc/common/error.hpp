@@ -9,6 +9,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace msoc {
 
@@ -47,11 +48,13 @@ class LogicError : public Error {
 };
 
 /// Throws InfeasibleError with `message` when `condition` is false.
-void require(bool condition, const std::string& message);
+/// Both checks copy `message` only on failure.  A message that has to be
+/// concatenated belongs behind an `if`, so passing checks allocate nothing.
+void require(bool condition, std::string_view message);
 
 /// Throws LogicError annotated with the call site when `condition` is false.
 void check_invariant(
-    bool condition, const std::string& message,
+    bool condition, std::string_view message,
     std::source_location where = std::source_location::current());
 
 }  // namespace msoc

@@ -23,11 +23,11 @@ ParseError::ParseError(std::string_view file, int line,
       file_(file),
       line_(line) {}
 
-void require(bool condition, const std::string& message) {
-  if (!condition) throw InfeasibleError(message);
+void require(bool condition, std::string_view message) {
+  if (!condition) throw InfeasibleError(std::string(message));
 }
 
-void check_invariant(bool condition, const std::string& message,
+void check_invariant(bool condition, std::string_view message,
                      std::source_location where) {
   if (condition) return;
   std::ostringstream os;

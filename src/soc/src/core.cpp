@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <string_view>
 #include <tuple>
 
 #include "msoc/common/error.hpp"
@@ -14,15 +16,23 @@ long long DigitalCore::total_scan_cells() const {
 }
 
 void DigitalCore::validate() const {
-  require(inputs >= 0 && outputs >= 0 && bidirs >= 0,
-          "I/O counts must be non-negative: core " + name);
-  require(patterns >= 1, "pattern count must be positive: core " + name);
-  require(power >= 0.0, "test power must be non-negative: core " + name);
-  for (int len : scan_chain_lengths) {
-    require(len > 0, "scan chain lengths must be positive: core " + name);
+  // Messages are built only on failure: the wrapper kernel validates
+  // every core it designs.
+  const auto fail = [this](std::string_view what) {
+    throw InfeasibleError(std::string(what) + ": core " + name);
+  };
+  if (inputs < 0 || outputs < 0 || bidirs < 0) {
+    fail("I/O counts must be non-negative");
   }
-  require(inputs + outputs + bidirs > 0 || !scan_chain_lengths.empty(),
-          "core has neither I/O nor scan: core " + name);
+  if (patterns < 1) fail("pattern count must be positive");
+  if (!(power >= 0.0)) fail("test power must be non-negative");
+  for (int len : scan_chain_lengths) {
+    if (len <= 0) fail("scan chain lengths must be positive");
+  }
+  if (inputs == 0 && outputs == 0 && bidirs == 0 &&
+      scan_chain_lengths.empty()) {
+    fail("core has neither I/O nor scan");
+  }
 }
 
 Cycles AnalogCore::total_cycles() const {
@@ -74,20 +84,19 @@ bool AnalogCore::tests_equivalent(const AnalogCore& other) const {
 }
 
 void AnalogCore::validate() const {
-  require(!tests.empty(), "analog core has no tests: " + name);
+  if (tests.empty()) throw InfeasibleError("analog core has no tests: " + name);
   for (const AnalogTestSpec& t : tests) {
-    require(t.cycles > 0, "test length must be positive: " + name + "." +
-                              t.name);
-    require(t.tam_width >= 1, "test TAM width must be >= 1: " + name + "." +
-                                  t.name);
-    require(t.resolution_bits >= 1 && t.resolution_bits <= 16,
-            "resolution out of range: " + name + "." + t.name);
-    require(t.f_sample.hz() > 0.0, "sampling frequency must be positive: " +
-                                       name + "." + t.name);
-    require(t.f_low <= t.f_high, "band edges out of order: " + name + "." +
-                                     t.name);
-    require(t.power >= 0.0,
-            "test power must be non-negative: " + name + "." + t.name);
+    const auto fail = [this, &t](std::string_view what) {
+      throw InfeasibleError(std::string(what) + ": " + name + "." + t.name);
+    };
+    if (t.cycles <= 0) fail("test length must be positive");
+    if (t.tam_width < 1) fail("test TAM width must be >= 1");
+    if (t.resolution_bits < 1 || t.resolution_bits > 16) {
+      fail("resolution out of range");
+    }
+    if (!(t.f_sample.hz() > 0.0)) fail("sampling frequency must be positive");
+    if (!(t.f_low <= t.f_high)) fail("band edges out of order");
+    if (!(t.power >= 0.0)) fail("test power must be non-negative");
   }
 }
 

@@ -1,7 +1,9 @@
 #include "msoc/soc/itc02.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/format.hpp"
@@ -10,6 +12,10 @@
 namespace msoc::soc {
 
 namespace {
+
+/// Ceiling on each I/O count, so the wrapper-cell total
+/// inputs + outputs + 2 * bidirs still fits an int.
+constexpr int kMaxTerminals = std::numeric_limits<int>::max() / 4;
 
 class Parser {
  public:
@@ -41,11 +47,23 @@ class Parser {
     throw ParseError(source_, line_, message);
   }
 
-  long long expect_int(std::string_view field, const char* what) const {
+  /// Parses an integer field of type T, rejecting values outside
+  /// [lo, hi] (by default, everything T holds) rather than letting the
+  /// conversion to T wrap them.
+  template <typename T>
+  T expect_int(std::string_view field, const char* what,
+               T lo = std::numeric_limits<T>::min(),
+               T hi = std::numeric_limits<T>::max()) const {
     const auto v = parse_int(field);
     if (!v) fail(std::string("expected integer for ") + what + ", got '" +
                  std::string(field) + "'");
-    return *v;
+    if (!std::in_range<T>(*v) || static_cast<T>(*v) < lo ||
+        static_cast<T>(*v) > hi) {
+      fail(std::string(what) + " out of range [" + std::to_string(lo) +
+           ", " + std::to_string(hi) + "], got '" + std::string(field) +
+           "'");
+    }
+    return static_cast<T>(*v);
   }
 
   double expect_double(std::string_view field, const char* what) const {
@@ -72,7 +90,8 @@ class Parser {
         fail("PowerWindow takes a window length and a limit");
       }
       if (have_power_window_) fail("duplicate PowerWindow");
-      const long long cycles = expect_int(tok[1], "PowerWindow cycles");
+      const auto cycles =
+          expect_int<long long>(tok[1], "PowerWindow cycles");
       if (cycles <= 0) fail("PowerWindow cycles must be positive");
       const double limit = expect_double(tok[2], "PowerWindow limit");
       if (!(limit > 0.0)) fail("PowerWindow limit must be positive");
@@ -82,7 +101,7 @@ class Parser {
       finish_pending(soc);
       if (tok.size() < 2) fail("Module needs an id");
       digital_ = DigitalCore{};
-      digital_->id = static_cast<int>(expect_int(tok[1], "module id"));
+      digital_->id = expect_int<int>(tok[1], "module id");
       digital_->name = tok.size() >= 3 ? std::string(tok[2])
                                        : "module_" + std::string(tok[1]);
       in_digital_ = true;
@@ -104,15 +123,15 @@ class Parser {
       analog_->description = desc;
       in_digital_ = false;
     } else if (key == "inputs") {
-      digital_field(tok, &DigitalCore::inputs);
+      digital_field(tok, "Inputs", &DigitalCore::inputs);
     } else if (key == "outputs") {
-      digital_field(tok, &DigitalCore::outputs);
+      digital_field(tok, "Outputs", &DigitalCore::outputs);
     } else if (key == "bidirs") {
-      digital_field(tok, &DigitalCore::bidirs);
+      digital_field(tok, "Bidirs", &DigitalCore::bidirs);
     } else if (key == "patterns") {
       if (!digital_) fail("Patterns outside a Module section");
       if (tok.size() != 2) fail("Patterns takes exactly one value");
-      digital_->patterns = expect_int(tok[1], "patterns");
+      digital_->patterns = expect_int<long long>(tok[1], "patterns");
     } else if (key == "power") {
       if (!digital_ || !in_digital_) fail("Power outside a Module section");
       if (tok.size() != 2) fail("Power takes exactly one value");
@@ -124,7 +143,7 @@ class Parser {
       digital_->scan_chain_lengths.clear();
       for (std::size_t i = 1; i < tok.size(); ++i) {
         digital_->scan_chain_lengths.push_back(
-            static_cast<int>(expect_int(tok[i], "scan chain length")));
+            expect_int<int>(tok[i], "scan chain length"));
       }
     } else if (key == "test") {
       parse_test(tok);
@@ -134,10 +153,10 @@ class Parser {
   }
 
   void digital_field(const std::vector<std::string_view>& tok,
-                     int DigitalCore::* member) {
+                     const char* what, int DigitalCore::* member) {
     if (!digital_) fail("digital field outside a Module section");
     if (tok.size() != 2) fail("field takes exactly one value");
-    (*digital_).*member = static_cast<int>(expect_int(tok[1], "field"));
+    (*digital_).*member = expect_int<int>(tok[1], what, 0, kMaxTerminals);
   }
 
   void parse_test(const std::vector<std::string_view>& tok) {
@@ -156,11 +175,11 @@ class Parser {
       else if (k == "fhigh") t.f_high = Hertz(expect_double(v, "FHigh"));
       else if (k == "fsample") t.f_sample = Hertz(expect_double(v, "FSample"));
       else if (k == "cycles") {
-        t.cycles = static_cast<Cycles>(expect_int(v, "Cycles"));
+        t.cycles = expect_int<Cycles>(v, "Cycles");
       } else if (k == "width") {
-        t.tam_width = static_cast<int>(expect_int(v, "Width"));
+        t.tam_width = expect_int<int>(v, "Width");
       } else if (k == "resolution") {
-        t.resolution_bits = static_cast<int>(expect_int(v, "Resolution"));
+        t.resolution_bits = expect_int<int>(v, "Resolution");
       } else if (k == "power") {
         t.power = expect_double(v, "Power");
         if (t.power < 0.0) fail("Power must be non-negative");

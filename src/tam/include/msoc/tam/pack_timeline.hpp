@@ -41,11 +41,12 @@ class PackTimeline {
   /// and fits the wires, the peak budget and the window budget (checked
   /// in that order; any failure restarts the sequence from its retry
   /// time).  A blocked-set rejection counts as a failed wire admission
-  /// check, since the wire check is what the blocked set guards.
+  /// check, since the wire check is what the blocked set guards.  Not
+  /// const: the window check reuses the timeline's scratch buffers.
   [[nodiscard]] Cycles earliest_feasible(int width, double power,
                                          Cycles duration,
                                          const IntervalSet& blocked,
-                                         Cycles not_before = 0) const {
+                                         Cycles not_before = 0) {
     Cycles candidate = not_before;
     while (true) {
       Cycles retry = blocked.first_fit(candidate, duration);

@@ -58,9 +58,11 @@ class WindowedPowerProfile {
 
   /// True when every window overlapping [start, start+duration) stays
   /// within budget with a `power` load added over that span.  On
-  /// failure *retry_at is a strictly later start worth probing.
+  /// failure *retry_at is a strictly later start worth probing.  Not
+  /// const: the check builds its segment table in the profile's scratch
+  /// buffers, so a warm profile allocates nothing per check.
   [[nodiscard]] bool window_free(Cycles start, double power, Cycles duration,
-                                 Cycles* retry_at) const {
+                                 Cycles* retry_at) {
     std::uint64_t visited = 0;
     const bool free =
         window_free_impl(start, power, duration, retry_at, &visited);
@@ -86,16 +88,19 @@ class WindowedPowerProfile {
   using const_iterator = Skyline<double>::const_iterator;
 
   bool window_free_impl(Cycles start, double power, Cycles duration,
-                        Cycles* retry_at, std::uint64_t* visited) const {
+                        Cycles* retry_at, std::uint64_t* visited) {
     const Cycles lo = start >= window_ ? start - window_ : 0;
     const Cycles end = start + duration;  // exclusive window-start bound
     const Cycles span_end = end + window_;
 
     // Clipped segment table over [lo, span_end): breakpoint times,
     // levels, and the prefix integral of the EXISTING load from lo.
-    std::vector<Cycles> times;
-    std::vector<double> levels;
-    std::vector<double> prefix;
+    std::vector<Cycles>& times = times_;
+    std::vector<double>& levels = levels_;
+    std::vector<double>& prefix = prefix_;
+    times.clear();
+    levels.clear();
+    prefix.clear();
     const_iterator at = load_.floor(lo);
     times.push_back(lo);
     levels.push_back(at == load_.end() ? 0.0 : at->second);
@@ -121,8 +126,8 @@ class WindowedPowerProfile {
     // Candidate window starts: every point where the sliding integral
     // can kink — each breakpoint of the combined signal, as a window
     // start and as a window end — clamped into [lo, end).
-    std::vector<Cycles> starts;
-    starts.reserve(2 * (times.size() + 2) + 1);
+    std::vector<Cycles>& starts = starts_;
+    starts.clear();
     const auto push = [&](Cycles w) {
       if (w >= lo && w < end) starts.push_back(w);
     };
@@ -177,6 +182,12 @@ class WindowedPowerProfile {
   double slack_;
   Cycles drain_end_ = 0;  ///< End of the last reservation.
   Skyline<double> load_;
+  // window_free's clipped segment table and candidate window starts,
+  // kept between checks for their capacity only.
+  std::vector<Cycles> times_;
+  std::vector<double> levels_;
+  std::vector<double> prefix_;
+  std::vector<Cycles> starts_;
 };
 
 }  // namespace msoc::tam

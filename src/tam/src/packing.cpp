@@ -57,7 +57,7 @@ enum class WidthPreference { kNarrow, kWide };
 /// area, start); `widths` pairs each width with its duration.  For a
 /// fixed width the earliest feasible start is optimal under this cost,
 /// so only one candidate start per width needs to be examined.
-Placement choose_placement(const PackTimeline& timeline, double power,
+Placement choose_placement(PackTimeline& timeline, double power,
                            const std::vector<std::pair<int, Cycles>>& widths,
                            const IntervalSet& blocked,
                            Cycles current_makespan,
@@ -510,8 +510,10 @@ Schedule schedule_soc(const soc::Soc& soc, int tam_width,
     require(!group.empty(), "empty wrapper group in partition");
     for (const std::string& name : group) {
       (void)soc.analog_by_name(name);  // throws if unknown
-      require(seen.insert(name).second,
-              "analog core appears twice in partition: " + name);
+      if (!seen.insert(name).second) {
+        throw InfeasibleError("analog core appears twice in partition: " +
+                              name);
+      }
     }
   }
   require(seen.size() == soc.analog_count(),
@@ -577,16 +579,19 @@ Schedule schedule_soc(const soc::Soc& soc, int tam_width,
   // binding one), so the windowed retry fixpoint always terminates.
   if (window.active()) {
     const WindowedPowerProfile probe(window.cycles, window.limit);
+    const auto require_admits = [&probe](double power, Cycles duration,
+                                         const std::string& core) {
+      if (!probe.admits_alone(power, duration)) {
+        throw InfeasibleError(
+            "test power exceeds the windowed power budget: " + core);
+      }
+    };
     for (const DigitalItem& d : digital) {
-      require(probe.admits_alone(d.power, d.pareto.front().time),
-              "test power exceeds the windowed power budget: " +
-                  d.core->name);
+      require_admits(d.power, d.pareto.front().time, d.core->name);
     }
     for (const AnalogGroupItem& g : groups) {
       for (const AnalogRect& r : g.rects) {
-        require(probe.admits_alone(r.power, r.duration),
-                "test power exceeds the windowed power budget: " +
-                    r.core->name);
+        require_admits(r.power, r.duration, r.core->name);
       }
     }
   }

@@ -98,6 +98,47 @@ TEST(Itc02Parse, RejectsInvalidCoreData) {
                ParseError);
 }
 
+/// Parses `text` expecting an "out of range" ParseError on `line`.
+void expect_out_of_range(const std::string& text, int line) {
+  try {
+    (void)parse_soc_string(text, "range.soc");
+    FAIL() << "expected ParseError for:\n" << text;
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), line) << e.what();
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Itc02Parse, RejectsIntegersTheFieldCannotHold) {
+  // 4294967328 = 2^32 + 32 used to wrap to 32 and plan like it.
+  expect_out_of_range("Module 1 m\n  Inputs 4294967328\n  Patterns 1\n", 2);
+  expect_out_of_range("Module 1 m\n  ScanChains 8 4294967328\n", 2);
+  // Past int: used to wrap negative and fail later, at the next
+  // module, as "I/O counts must be non-negative".
+  expect_out_of_range(
+      "Module 1 m\n  Outputs 3000000000\n  Patterns 1\nModule 2 n\n", 2);
+  expect_out_of_range("Module 1 m\n  Bidirs -1\n", 2);
+  expect_out_of_range("Module 4294967297 m\n", 1);
+  // A negative analog test length used to wrap to 2^64 - 5 and plan.
+  expect_out_of_range(
+      "AnalogModule A\n  Test t FSample 1e6 Cycles -5 Width 1\n", 2);
+  expect_out_of_range(
+      "AnalogModule A\n  Test t FSample 1e6 Cycles 5 Width 2147483648\n",
+      2);
+}
+
+TEST(Itc02Parse, AcceptsTheRangeLimits) {
+  const Soc soc = parse_soc_string(
+      "Module -2147483648 m\n  Inputs 536870911\n  Outputs 0\n"
+      "  ScanChains 2147483647\n  Patterns 1\n"
+      "AnalogModule A\n  Test t FSample 1e6 Cycles 9223372036854775807\n");
+  EXPECT_EQ(soc.digital_cores()[0].id, -2147483648LL);
+  EXPECT_EQ(soc.digital_cores()[0].inputs, 536870911);
+  EXPECT_EQ(soc.digital_cores()[0].scan_chain_lengths[0], 2147483647);
+  EXPECT_EQ(soc.analog_cores()[0].tests[0].cycles, 9223372036854775807ULL);
+}
+
 TEST(Itc02Parse, RejectsZeroPatternCount) {
   // A core without patterns has a zero-length test, which no schedule
   // can hold; it is rejected at parse time instead of reaching the packer.

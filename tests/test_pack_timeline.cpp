@@ -8,12 +8,16 @@
 // keeps wires and instantaneous power within capacity on every cycle.
 // Integer-valued powers keep the brute force exact, so the check needs
 // no tolerance.  With a window active only soundness is asserted: the
-// schedule with the test added must pass check_schedule.
+// schedule with the test added must pass check_schedule.  A last test
+// counts heap allocations: warm admission checks must make none.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +27,19 @@
 #include "msoc/tam/pack_timeline.hpp"
 #include "msoc/tam/schedule.hpp"
 #include "msoc/tam/windowed_power.hpp"
+
+namespace {
+/// Every operator new in this test binary.
+std::atomic<std::uint64_t> allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace msoc::tam {
 namespace {
@@ -168,6 +185,34 @@ TEST(PackTimelineProperty, WindowedPlacementsPassCheckSchedule) {
           << violations.front().message;
     }
   }
+}
+
+TEST(PackTimelineAllocation, WarmAdmissionChecksAllocateNothing) {
+  // The scale ladder's shape: 64 wires, a peak budget and a 4096-cycle
+  // window.  Reservations may allocate; once the window check's scratch
+  // buffers have grown, the probes themselves must not.
+  Rng rng(77);
+  PackTimeline timeline(64, 30.0, {4096, 18.0});
+  const IntervalSet none;
+  for (int i = 0; i < 200; ++i) {
+    const int width = rng.uniform_int(1, 16);
+    const double power = rng.uniform_int(1, 10);
+    const Cycles duration = rng.uniform_u64(200, 4000);
+    timeline.reserve(timeline.earliest_feasible(width, power, duration, none),
+                     duration, width, power);
+  }
+  const auto probe_all = [&timeline, &none] {
+    Cycles sum = 0;
+    for (Cycles s = 0; s < 400000; s += 997) {
+      sum += timeline.earliest_feasible(8, 5.0, 2048, none, s);
+    }
+    return sum;
+  };
+  const Cycles warm = probe_all();
+  const std::uint64_t before = allocations.load();
+  const Cycles again = probe_all();
+  EXPECT_EQ(allocations.load() - before, 0u);
+  EXPECT_EQ(again, warm);
 }
 
 }  // namespace

@@ -245,7 +245,7 @@ TEST(PackTimelineRetry, OutOfOrderBlockedIntervalsFindTightestRetry) {
   // The blocked check must clear EVERY overlapping blocked interval,
   // whatever their insertion order: the minimal valid retry for a window
   // of length 10 against {[40,55), [0,20), [18,42)} starting at 5 is 55.
-  const PackTimeline timeline(8);
+  PackTimeline timeline(8);
   IntervalSet unsorted;
   unsorted.insert(40, 55);
   unsorted.insert(0, 20);
