@@ -1,6 +1,6 @@
 #pragma once
 // Minimal strict JSON reader for the machine-readable documents this
-// repo produces and consumes (msoc-sweep-v1, msoc-cache-v4 snapshots
+// repo produces and consumes (msoc-sweep-v5, msoc-cache-v4 snapshots
 // and journal payloads, perf trajectories).  Writers stay
 // hand-rolled ostream code — only reading
 // needs structure, and only reading needs to be strict: a truncated or

@@ -51,8 +51,8 @@ void fsync_file_or_throw(const fs::path& file) {
 /// fsync of the parent directory after rename: the rename itself lives
 /// in the DIRECTORY's data blocks, so until the directory is synced a
 /// crash can roll the entry back to the old file — fatal for callers
-/// (cache compaction) that delete the superseded legacy file as soon
-/// as write_file_atomic returns.
+/// (cache compaction) that drop the journal records a snapshot folds
+/// as soon as write_file_atomic returns.
 void fsync_directory_or_throw(const fs::path& dir) {
   const int fd =
       posix_io::open_retry(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
@@ -76,9 +76,9 @@ std::optional<std::string> read_file_if_exists(const std::string& path) {
   return read_file(path);
 #else
   // Open FIRST, classify AFTER: a stat-then-open pair races against
-  // concurrent deleters (a compactor retiring a legacy store while a
-  // daemon client reads it) and would throw where the contract says
-  // "absent is nullopt".
+  // concurrent deleters (a cache directory removed while a daemon
+  // client reads it) and would throw where the contract says "absent
+  // is nullopt".
   const int fd = posix_io::open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT || errno == ENOTDIR) return std::nullopt;

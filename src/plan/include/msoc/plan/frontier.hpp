@@ -140,19 +140,13 @@ struct FrontierResult {
   bool time_monotone = true;
   double wall_ms = 0.0;       ///< Whole run, setup included.
 
-  /// "msoc-frontier-v1" JSON document, "msoc-frontier-v2" (adding
-  /// per-point max_power) when any rung is power-constrained,
-  /// "msoc-frontier-v3" (adding replanned_from / reused /
-  /// dirty_partitions) when the result came from a replan, or
-  /// "msoc-frontier-v4" (adding per-point window_cycles/window_limit)
-  /// when the run enforced a sliding-window budget.  Unwindowed
-  /// non-replan documents are byte-identical to the pre-replan
-  /// engine's.
+  /// "msoc-frontier-v5" JSON document (docs/formats.md).  Every field
+  /// is always written, whatever the run used: max_power 0 means
+  /// unconstrained, window_cycles/window_limit 0 unwindowed, and
+  /// replanned_from "" no usable replan baseline.
   [[nodiscard]] std::string to_json() const;
-  /// RFC-4180 CSV, one row per (power rung, width) cell; a max_power
-  /// column appears when any rung is power-constrained,
-  /// window_cycles/window_limit columns when the run was windowed, a
-  /// reused column when the result came from a replan.
+  /// RFC-4180 CSV, one row per (power rung, width) cell, under one
+  /// fixed header.
   [[nodiscard]] std::string to_csv() const;
 };
 
@@ -180,7 +174,7 @@ class FrontierEngine {
   /// is provably the same function of the surviving content.  Falls
   /// back to a plain run() (with a warning, replanned_from empty) when
   /// the engine has no cache or the baseline store has no inventory
-  /// (missing file or legacy v1/v2 schema).
+  /// (no v4 store for that digest, or one without an inventory).
   [[nodiscard]] FrontierResult replan(const std::string& baseline_digest);
 
   [[nodiscard]] const std::string& digest() const noexcept {

@@ -1,7 +1,7 @@
 #pragma once
 // Persistent TAM-optimizer result cache (the msoc-cache-v4 sharded,
-// journaled store documented in docs/formats.md; v1/v2/v3 single-file
-// stores are still read).
+// journaled store documented in docs/formats.md; it is the only layout
+// read).
 //
 // What is cached: schedule_soc makespans — the expensive, pure part of
 // a CombinationCost.  Everything else in Eq. 2 (C_A, C_time, the
@@ -32,20 +32,20 @@
 // and the snapshot header carry it).
 //
 // On-disk layout (msoc-cache-v4):
-//   <dir>/<digest>.json      legacy v1/v2/v3 store (read-only compat;
-//                            deleted once compaction migrates it)
 //   <dir>/<pp>/journal.wal   per-shard append-only WAL (pp = first two
 //                            hex chars of the digest); flush() appends
 //                            this run's overlay as checksummed records
 //                            under an exclusive flock — O(overlay),
 //                            one fsync per dirty shard
-//   <dir>/<pp>/<digest>.json v4 snapshot (v3 body, v4 schema string),
-//                            written by compaction when the journal
-//                            crosses CacheTuning::compact_threshold_
-//                            bytes, or explicitly via compact()
+//   <dir>/<pp>/<digest>.json snapshot, written by compaction when the
+//                            journal crosses CacheTuning::compact_
+//                            threshold_bytes, or explicitly via
+//                            compact()
 //
-// A store opens as legacy-file ∪ snapshot ∪ journal replay (later
-// layers win).  Replay tolerates torn journal tails — the artifact of
+// A store opens as snapshot ∪ journal replay (the journal wins).
+// Anything else in <dir> — notably a top-level <digest>.json left by
+// the retired single-file layouts — is never read: every value in the
+// store can be recomputed, so such a file is just a cold miss.  Replay tolerates torn journal tails — the artifact of
 // a writer killed mid-append — by truncating at the first bad record
 // (readers just stop there; the next appender physically truncates
 // under its exclusive lock).  Complete-but-corrupt records and
@@ -113,8 +113,7 @@ struct CacheTuning {
 struct CompactionStats {
   int shards_compacted = 0;       ///< Journals folded and reset.
   long long records_folded = 0;   ///< Journal records folded away.
-  int snapshots_written = 0;      ///< v4 snapshot files (re)written.
-  int legacy_files_migrated = 0;  ///< v1/v2/v3 files rewritten as v4.
+  int snapshots_written = 0;      ///< Snapshot files (re)written.
 };
 
 class ResultCache {
@@ -137,8 +136,7 @@ class ResultCache {
     double max_power = 0.0;  ///< Effective budget; 0 = unconstrained.
     /// Effective sliding-window budget; both 0 = unwindowed.  Like
     /// max_power these are explicit key fields (not fingerprinted),
-    /// and they serialize only when set, so pre-window stores and
-    /// unwindowed entries keep their exact on-disk bytes.
+    /// and they serialize only when set.
     Cycles window_cycles = 0;
     double window_limit = 0.0;
     std::string fingerprint;
@@ -172,9 +170,8 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Loads the snapshot for one SOC digest: legacy `<digest>.json`,
-  /// then the shard's v4 snapshot, then a replay of the shard journal
-  /// (shared-locked; later layers win).  Idempotent and thread-safe
+  /// Loads the store for one SOC digest: the shard's snapshot, then a
+  /// replay of the shard journal (shared-locked; the journal wins).  Idempotent and thread-safe
   /// (internally locked), but the file I/O happens under the lock, so
   /// prefer opening every digest up front before fanning lookups out.
   /// Unreadable or corrupt artifacts load as absent and bump
@@ -188,9 +185,9 @@ class ResultCache {
   void open(const std::string& digest, const soc::Soc& soc);
 
   /// The inventory of an opened store — from the SOC it was opened
-  /// with, from a journal meta record, or from the v3/v4 file header;
-  /// nullopt for never-opened digests and legacy v1/v2 files (those
-  /// cannot seed a replan).
+  /// with, from a journal meta record, or from the snapshot header;
+  /// nullopt for never-opened digests and stores that recorded none
+  /// (those cannot seed a replan).
   [[nodiscard]] std::optional<soc::DigestInventory> inventory(
       const std::string& digest) const;
 
@@ -217,11 +214,11 @@ class ResultCache {
   /// subsequent run() in the same process can hit it).
   void flush();
 
-  /// Folds every shard journal under the cache directory into v4
-  /// snapshot files, resets the journals, and migrates any remaining
-  /// legacy v1/v2/v3 single-file stores into v4 shards (deleting the
-  /// legacy files).  Safe against concurrent writers (per-shard
-  /// exclusive locks).  Also flushes pending overlays first.
+  /// Folds every shard journal under the cache directory into
+  /// snapshot files and resets the journals.  Top-level `*.json` files
+  /// (retired layouts) are left untouched, named in one warning.  Safe
+  /// against concurrent writers (per-shard exclusive locks).  Also
+  /// flushes pending overlays first.
   CompactionStats compact();
 
   [[nodiscard]] bool disk_backed() const noexcept {
@@ -285,18 +282,15 @@ class ResultCache {
     bool torn_counted = false;     ///< Dedup torn_tails per tail.
   };
 
-  [[nodiscard]] std::string legacy_path(const std::string& digest) const;
   [[nodiscard]] std::string shard_dir(const std::string& shard) const;
   [[nodiscard]] std::string journal_path(const std::string& shard) const;
   [[nodiscard]] std::string snapshot_path(const std::string& digest) const;
 
   void open_locked(const std::string& digest, const std::string& soc_name);
   void maybe_evict_locked();
-  /// Loads one legacy or v4 snapshot file into `store` (merge, later
-  /// wins); returns false when the file was corrupt (counted).
-  bool load_snapshot_file_locked(const std::string& path,
-                                 const std::string& digest, bool v4,
-                                 Store& store);
+  /// Merges the snapshot file of `digest` into `store` (file wins); a
+  /// corrupt file loads as absent and is counted.
+  void load_snapshot_locked(const std::string& digest, Store& store);
   /// Forgets everything cached about one shard journal (tail staging,
   /// dedup flags, the stores' meta-journaled marks) — called when the
   /// generation changes under us or the journal is reset.

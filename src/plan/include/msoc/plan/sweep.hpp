@@ -1,7 +1,7 @@
 #pragma once
 // Batch plan-evaluation sweeps: one result row per {SOC x TAM width x
 // cost weights} case, exportable as CSV and as machine-readable JSON
-// (schema "msoc-sweep-v1", documented in docs/formats.md).  Each
+// (schema "msoc-sweep-v5", documented in docs/formats.md).  Each
 // (SOC, weight) pair routes through one plan::FrontierEngine walking
 // every width, so enumeration, Eq. 3 preliminaries and Pareto
 // staircases are shared across widths, and a ResultCache lets repeated
@@ -90,8 +90,8 @@ struct SweepRow {
   /// a fully-cached case reports 0.
   int evaluations = 0;
   int total_combinations = 0;
-  /// Combinations spliced from the replan baseline store (replan
-  /// sweeps only; 0 otherwise).
+  /// Combinations spliced from the replan baseline store (0 unless
+  /// the sweep replanned).
   int reused = 0;
   double evaluation_reduction_percent = 0.0;
   double wall_ms = 0.0;  ///< Wall-clock of this case, model build included.
@@ -108,32 +108,26 @@ struct SweepResult {
   int jobs = 1;                ///< Worker threads the sweep actually used.
   bool exhaustive = false;
   double epsilon = 0.0;
-  /// Result-cache statistics, populated when the sweep ran with a
-  /// cache (cache_used true; all zero otherwise).
-  bool cache_used = false;
+  /// Result-cache statistics over this sweep (all zero without a
+  /// cache).
   long long cache_hits = 0;
   long long cache_misses = 0;
   long long cache_records = 0;
   int cache_corrupt_files = 0;
-  /// Replan provenance (replan sweeps only): the baseline digest, the
-  /// total baseline-store splices, and the worst series' dirty count.
+  /// Replan provenance, set only when the engines really spliced from
+  /// the baseline store: the baseline digest, the total splices, and
+  /// the worst series' dirty count.
   std::string replanned_from;
   int reused = 0;
   int dirty_partitions = 0;
 
-  /// RFC-4180 CSV with a header row (a max_power column appears when
-  /// any case ran power-constrained, window_cycles/window_limit
-  /// columns when any case ran windowed, a reused column for replan
-  /// sweeps).
+  /// RFC-4180 CSV, one row per case, under one fixed header.
   [[nodiscard]] std::string to_csv() const;
 
-  /// "msoc-sweep-v1" JSON document; "msoc-sweep-v2" (adding per-case
-  /// max_power) when any case ran power-constrained; "msoc-sweep-v3"
-  /// (adding the cache statistics block and, for replan sweeps, the
-  /// replan provenance) whenever the sweep used a result cache;
-  /// "msoc-sweep-v4" (adding per-case window_cycles/window_limit)
-  /// when any case ran under a sliding-window budget.  Cacheless
-  /// unwindowed sweeps keep emitting the v1/v2 documents byte-for-byte.
+  /// "msoc-sweep-v5" JSON document.  Every field is always written,
+  /// whatever the sweep used: max_power 0 means unconstrained,
+  /// window_cycles/window_limit 0 unwindowed, replanned_from "" no
+  /// replan, and the cache block is all zeros for a cacheless sweep.
   [[nodiscard]] std::string to_json() const;
 };
 

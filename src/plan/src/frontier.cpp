@@ -387,8 +387,8 @@ FrontierResult FrontierEngine::replan(const std::string& baseline_digest) {
       cache->inventory(baseline_digest);
   if (!baseline.has_value()) {
     log_warn("baseline store ", baseline_digest,
-             " has no digest inventory (missing file or pre-v3 schema); "
-             "planning cold");
+             " has no digest inventory (no store, or no inventory "
+             "header); planning cold");
     return run();
   }
 
@@ -418,85 +418,39 @@ FrontierResult FrontierEngine::replan(const std::string& baseline_digest) {
   return result;
 }
 
-namespace {
-
-/// True when any point ran under a finite power budget: the signal
-/// that switches serializers to the v2 schemas.  All-unconstrained
-/// results keep emitting the v1 documents byte-for-byte.
-bool any_power_constrained(const std::vector<FrontierPoint>& points) {
-  return std::any_of(points.begin(), points.end(),
-                     [](const FrontierPoint& p) { return p.max_power > 0.0; });
-}
-
-/// True when any point ran under a sliding-window budget: switches the
-/// serializers to v4 and emits the per-point window fields.
-bool any_windowed(const std::vector<FrontierPoint>& points) {
-  return std::any_of(points.begin(), points.end(), [](const FrontierPoint& p) {
-    return p.window_cycles > 0;
-  });
-}
-
-}  // namespace
-
 std::string FrontierResult::to_csv() const {
-  const bool constrained = any_power_constrained(points);
-  const bool windowed = any_windowed(points);
-  const bool replan = !replanned_from.empty();
   std::ostringstream out;
-  std::vector<std::string> header = {"soc", "tam_width", "w_time",
-                                     "algorithm", "best_label", "best_total",
-                                     "c_time", "c_area", "test_time",
-                                     "t_max", "evaluations",
-                                     "total_combinations", "cache_hits",
-                                     "pruned", "pareto", "wall_ms", "error"};
-  if (replan) header.insert(header.begin() + 14, "reused");
-  if (windowed) {
-    header.insert(header.begin() + 2, {"window_cycles", "window_limit"});
-  }
-  if (constrained) header.insert(header.begin() + 2, "max_power");
-  CsvWriter csv(out, header);
+  CsvWriter csv(out, {"soc", "tam_width", "max_power", "window_cycles",
+                      "window_limit", "w_time", "algorithm", "best_label",
+                      "best_total", "c_time", "c_area", "test_time", "t_max",
+                      "evaluations", "total_combinations", "cache_hits",
+                      "reused", "pruned", "pareto", "wall_ms", "error"});
   for (const FrontierPoint& p : points) {
-    std::vector<std::string> row = {
-        soc_name, std::to_string(p.tam_width),
-        round_trip_double(w_time), algorithm, p.best.label,
-        round_trip_double(p.best.total), round_trip_double(p.best.c_time),
-        round_trip_double(p.best.c_area), std::to_string(p.best.test_time),
-        std::to_string(p.t_max), std::to_string(p.evaluations),
-        std::to_string(p.total_combinations),
-        std::to_string(p.cache_hits), std::to_string(p.pruned),
-        p.pareto ? "1" : "0", round_trip_double(p.wall_ms), p.error};
-    if (replan) row.insert(row.begin() + 14, std::to_string(p.reused));
-    if (windowed) {
-      row.insert(row.begin() + 2,
-                 {std::to_string(p.window_cycles),
-                  round_trip_double(p.window_limit)});
-    }
-    if (constrained) {
-      row.insert(row.begin() + 2, round_trip_double(p.max_power));
-    }
-    csv.write_row(row);
+    csv.write_row(
+        {soc_name, std::to_string(p.tam_width),
+         round_trip_double(p.max_power), std::to_string(p.window_cycles),
+         round_trip_double(p.window_limit), round_trip_double(w_time),
+         algorithm, p.best.label, round_trip_double(p.best.total),
+         round_trip_double(p.best.c_time), round_trip_double(p.best.c_area),
+         std::to_string(p.best.test_time), std::to_string(p.t_max),
+         std::to_string(p.evaluations), std::to_string(p.total_combinations),
+         std::to_string(p.cache_hits), std::to_string(p.reused),
+         std::to_string(p.pruned), p.pareto ? "1" : "0",
+         round_trip_double(p.wall_ms), p.error});
   }
   return out.str();
 }
 
 std::string FrontierResult::to_json() const {
-  const bool constrained = any_power_constrained(points);
-  const bool windowed = any_windowed(points);
-  const bool replan = !replanned_from.empty();
-  const char* schema =
-      windowed ? "v4" : (replan ? "v3" : (constrained ? "v2" : "v1"));
   std::ostringstream os;
   os << "{\n"
-     << "  \"schema\": \"msoc-frontier-" << schema << "\",\n"
+     << "  \"schema\": \"msoc-frontier-v5\",\n"
      << "  \"soc\": \"" << json_escape(soc_name) << "\",\n"
-     << "  \"digest\": \"" << json_escape(digest) << "\",\n";
-  if (replan) {
-    os << "  \"replanned_from\": \"" << json_escape(replanned_from)
-       << "\",\n"
-       << "  \"reused\": " << reused << ",\n"
-       << "  \"dirty_partitions\": " << dirty_partitions << ",\n";
-  }
-  os << "  \"algorithm\": \"" << json_escape(algorithm) << "\",\n"
+     << "  \"digest\": \"" << json_escape(digest) << "\",\n"
+     << "  \"replanned_from\": \"" << json_escape(replanned_from) << "\",\n"
+     << "  \"reused\": " << reused << ",\n"
+     << "  \"dirty_partitions\": " << dirty_partitions << ",\n"
+     << "  \"algorithm\": \"" << json_escape(algorithm) << "\",\n"
      << "  \"w_time\": " << round_trip_double(w_time) << ",\n"
      << "  \"evaluations\": " << evaluations << ",\n"
      << "  \"cache_hits\": " << cache_hits << ",\n"
@@ -508,16 +462,11 @@ std::string FrontierResult::to_json() const {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const FrontierPoint& p = points[i];
     os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"tam_width\": " << p.tam_width << ", ";
-    if (constrained) {
-      os << "\"max_power\": " << round_trip_double(p.max_power) << ", ";
-    }
-    if (windowed) {
-      os << "\"window_cycles\": " << p.window_cycles << ", "
-         << "\"window_limit\": " << round_trip_double(p.window_limit)
-         << ", ";
-    }
-    os << "\"wall_ms\": " << round_trip_double(p.wall_ms) << ", ";
+    os << "    {\"tam_width\": " << p.tam_width << ", "
+       << "\"max_power\": " << round_trip_double(p.max_power) << ", "
+       << "\"window_cycles\": " << p.window_cycles << ", "
+       << "\"window_limit\": " << round_trip_double(p.window_limit) << ", "
+       << "\"wall_ms\": " << round_trip_double(p.wall_ms) << ", ";
     if (!p.ok()) {
       os << "\"error\": \"" << json_escape(p.error) << "\"}";
       continue;
@@ -530,9 +479,9 @@ std::string FrontierResult::to_json() const {
        << "\"t_max\": " << p.t_max << "}, "
        << "\"evaluations\": " << p.evaluations << ", "
        << "\"total_combinations\": " << p.total_combinations << ", "
-       << "\"cache_hits\": " << p.cache_hits << ", ";
-    if (replan) os << "\"reused\": " << p.reused << ", ";
-    os << "\"pruned\": " << p.pruned << ", "
+       << "\"cache_hits\": " << p.cache_hits << ", "
+       << "\"reused\": " << p.reused << ", "
+       << "\"pruned\": " << p.pruned << ", "
        << "\"pareto\": " << (p.pareto ? "true" : "false") << "}";
   }
   os << "\n  ]\n}\n";

@@ -23,10 +23,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr const char* kSchemaV1 = "msoc-cache-v1";
-constexpr const char* kSchemaV2 = "msoc-cache-v2";
-constexpr const char* kSchemaV3 = "msoc-cache-v3";
-constexpr const char* kSchemaV4 = "msoc-cache-v4";
+constexpr const char* kSchema = "msoc-cache-v4";
 constexpr const char* kJournalName = "journal.wal";
 constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
 
@@ -129,13 +126,62 @@ void write_inventory(std::ostringstream& os,
   os << "}";
 }
 
-/// The journal payload of one recorded entry (op: "entry").
-std::string entry_payload(const std::string& digest,
-                          const ResultCache::EntryKey& key,
-                          const std::string& label, Cycles test_time) {
-  std::ostringstream os;
-  os << "{\"op\": \"entry\", \"digest\": \"" << json_escape(digest)
-     << "\", \"width\": " << key.tam_width << ", ";
+/// One cache entry as snapshots and journal records both spell it.
+struct ParsedEntry {
+  ResultCache::EntryKey key;
+  Cycles test_time = 0;
+  std::string label;
+};
+
+/// Parses one entry object (a snapshot's array item or an "entry"
+/// journal record); throws ParseError naming `path` when malformed.
+ParsedEntry parse_entry(const JsonValue& item, const std::string& path) {
+  const std::optional<Cycles> width = as_cycles(item.at("width"));
+  const std::optional<Cycles> time = as_cycles(item.at("test_time"));
+  // Zero-cycle makespans are impossible (every SOC tests something)
+  // and a zero T_max baseline would divide costs by zero — reject them
+  // here so readers can use entries without re-validating.
+  if (!width.has_value() || *width < 1 || !time.has_value() || *time < 1) {
+    throw ParseError(path, 0, "malformed cache entry");
+  }
+  ParsedEntry parsed;
+  parsed.key.tam_width = static_cast<int>(*width);
+  parsed.test_time = *time;
+  // Constrained entries carry the power budget the pack honored;
+  // absent means unconstrained.
+  if (const JsonValue* budget = item.find("max_power")) {
+    if (budget->type() != JsonValue::Type::kNumber ||
+        !std::isfinite(budget->as_number()) ||
+        !(budget->as_number() > 0.0)) {
+      throw ParseError(path, 0, "malformed cache entry");
+    }
+    parsed.key.max_power = budget->as_number();
+  }
+  // Windowed entries carry both fields; absent means unwindowed.
+  if (const JsonValue* wcycles = item.find("window_cycles")) {
+    const std::optional<Cycles> cycles = as_cycles(*wcycles);
+    const JsonValue* wlimit = item.find("window_limit");
+    if (!cycles.has_value() || *cycles < 1 || wlimit == nullptr ||
+        wlimit->type() != JsonValue::Type::kNumber ||
+        !std::isfinite(wlimit->as_number()) ||
+        !(wlimit->as_number() > 0.0)) {
+      throw ParseError(path, 0, "malformed cache entry");
+    }
+    parsed.key.window_cycles = *cycles;
+    parsed.key.window_limit = wlimit->as_number();
+  }
+  parsed.key.fingerprint = item.at("packing").as_string();
+  parsed.key.partition = item.at("partition").as_string();
+  if (const JsonValue* label = item.find("label")) {
+    parsed.label = label->as_string();
+  }
+  return parsed;
+}
+
+/// Writes one entry's fields, "width" through "test_time", unbraced.
+void write_entry_fields(std::ostream& os, const ResultCache::EntryKey& key,
+                        const std::string& label, Cycles test_time) {
+  os << "\"width\": " << key.tam_width << ", ";
   if (key.max_power > 0.0) {
     os << "\"max_power\": " << round_trip_double(key.max_power) << ", ";
   }
@@ -147,7 +193,18 @@ std::string entry_payload(const std::string& digest,
   os << "\"packing\": \"" << json_escape(key.fingerprint)
      << "\", \"partition\": \"" << json_escape(key.partition)
      << "\", \"label\": \"" << json_escape(label)
-     << "\", \"test_time\": " << test_time << "}";
+     << "\", \"test_time\": " << test_time;
+}
+
+/// The journal payload of one recorded entry (op: "entry").
+std::string entry_payload(const std::string& digest,
+                          const ResultCache::EntryKey& key,
+                          const std::string& label, Cycles test_time) {
+  std::ostringstream os;
+  os << "{\"op\": \"entry\", \"digest\": \"" << json_escape(digest)
+     << "\", ";
+  write_entry_fields(os, key, label, test_time);
+  os << "}";
   return os.str();
 }
 
@@ -247,10 +304,6 @@ ResultCache::ResultCache(std::string directory, CacheTuning tuning)
           "cache tuning needs max_open_stores >= 1");
 }
 
-std::string ResultCache::legacy_path(const std::string& digest) const {
-  return (fs::path(directory_) / (digest + ".json")).string();
-}
-
 std::string ResultCache::shard_dir(const std::string& shard) const {
   return (fs::path(directory_) / shard).string();
 }
@@ -264,24 +317,21 @@ std::string ResultCache::snapshot_path(const std::string& digest) const {
       .string();
 }
 
-bool ResultCache::load_snapshot_file_locked(const std::string& path,
-                                            const std::string& digest,
-                                            bool v4, Store& store) {
+void ResultCache::load_snapshot_locked(const std::string& digest,
+                                       Store& store) {
+  const std::string path = snapshot_path(digest);
   try {
     const std::optional<std::string> text = read_file_if_exists(path);
-    if (!text.has_value()) return true;  // absent is not corrupt
+    if (!text.has_value()) return;  // absent is not corrupt
     const JsonValue doc = parse_json(*text, path);
-    const std::string schema = doc.at("schema").as_string();
-    const bool schema_ok =
-        v4 ? schema == kSchemaV4
-           : (schema == kSchemaV1 || schema == kSchemaV2 ||
-              schema == kSchemaV3);
-    if (!schema_ok) throw ParseError(path, 0, "unexpected schema");
+    if (doc.at("schema").as_string() != kSchema) {
+      throw ParseError(path, 0, "unexpected schema");
+    }
     if (doc.at("digest").as_string() != digest) {
       throw ParseError(path, 0, "digest does not match file");
     }
-    // The v3/v4 header carries the SOC's digest inventory so the store
-    // can seed a replan; legacy v1/v2 stores load without one.
+    // The header carries the SOC's digest inventory so the store can
+    // seed a replan; a snapshot without one still serves lookups.
     std::optional<soc::DigestInventory> inventory;
     if (const JsonValue* header = doc.find("inventory")) {
       inventory = parse_inventory(*header, path);
@@ -292,48 +342,9 @@ bool ResultCache::load_snapshot_file_locked(const std::string& path,
     }
     std::map<EntryKey, Entry> loaded;
     for (const JsonValue& item : doc.at("entries").as_array()) {
-      const std::optional<Cycles> width = as_cycles(item.at("width"));
-      const std::optional<Cycles> time = as_cycles(item.at("test_time"));
-      // Zero-cycle makespans are impossible (every SOC tests something)
-      // and a zero T_max baseline would divide costs by zero — reject
-      // them here so readers can use entries without re-validating.
-      if (!width.has_value() || *width < 1 || !time.has_value() ||
-          *time < 1) {
-        throw ParseError(path, 0, "malformed cache entry");
-      }
-      EntryKey key;
-      key.tam_width = static_cast<int>(*width);
-      // v2+ entries may carry the power budget the pack honored;
-      // absent (every v1 entry) means unconstrained.
-      if (const JsonValue* budget = item.find("max_power")) {
-        if (budget->type() != JsonValue::Type::kNumber ||
-            !std::isfinite(budget->as_number()) ||
-            !(budget->as_number() > 0.0)) {
-          throw ParseError(path, 0, "malformed cache entry");
-        }
-        key.max_power = budget->as_number();
-      }
-      // Windowed entries carry both fields; absent means unwindowed.
-      if (const JsonValue* wcycles = item.find("window_cycles")) {
-        const std::optional<Cycles> cycles = as_cycles(*wcycles);
-        const JsonValue* wlimit = item.find("window_limit");
-        if (!cycles.has_value() || *cycles < 1 || wlimit == nullptr ||
-            wlimit->type() != JsonValue::Type::kNumber ||
-            !std::isfinite(wlimit->as_number()) ||
-            !(wlimit->as_number() > 0.0)) {
-          throw ParseError(path, 0, "malformed cache entry");
-        }
-        key.window_cycles = *cycles;
-        key.window_limit = wlimit->as_number();
-      }
-      key.fingerprint = item.at("packing").as_string();
-      key.partition = item.at("partition").as_string();
-      Entry entry;
-      entry.test_time = *time;
-      if (const JsonValue* label = item.find("label")) {
-        entry.label = label->as_string();
-      }
-      loaded.insert_or_assign(std::move(key), std::move(entry));
+      ParsedEntry parsed = parse_entry(item, path);
+      loaded.insert_or_assign(std::move(parsed.key),
+                              Entry{parsed.test_time, std::move(parsed.label)});
     }
     // Commit only after the whole file parsed (no partial merges).
     for (auto& [key, entry] : loaded) {
@@ -341,14 +352,12 @@ bool ResultCache::load_snapshot_file_locked(const std::string& path,
     }
     if (inventory.has_value()) store.inventory = std::move(inventory);
     if (store.soc_name.empty()) store.soc_name = std::move(soc_name);
-    return true;
   } catch (const Error& e) {
     // A cache must only ever make runs faster: anything unparseable OR
     // unreadable (ParseError and plain Error alike — e.g. permission
     // problems) is treated as absent and counted.
     log_debug("ignoring corrupt cache file ", path, ": ", e.what());
     ++corrupt_files_;
-    return false;
   }
 }
 
@@ -380,46 +389,10 @@ void ResultCache::apply_payload_locked(const std::string& shard_key,
                        "journal record digest outside its shard");
     }
     if (op == "entry") {
-      const std::optional<Cycles> width = as_cycles(doc.at("width"));
-      const std::optional<Cycles> time = as_cycles(doc.at("test_time"));
-      if (!width.has_value() || *width < 1 || !time.has_value() ||
-          *time < 1) {
-        throw ParseError(journal_path(shard_key), 0,
-                         "malformed journal entry");
-      }
-      EntryKey key;
-      key.tam_width = static_cast<int>(*width);
-      if (const JsonValue* budget = doc.find("max_power")) {
-        if (budget->type() != JsonValue::Type::kNumber ||
-            !std::isfinite(budget->as_number()) ||
-            !(budget->as_number() > 0.0)) {
-          throw ParseError(journal_path(shard_key), 0,
-                           "malformed journal entry");
-        }
-        key.max_power = budget->as_number();
-      }
-      if (const JsonValue* wcycles = doc.find("window_cycles")) {
-        const std::optional<Cycles> cycles = as_cycles(*wcycles);
-        const JsonValue* wlimit = doc.find("window_limit");
-        if (!cycles.has_value() || *cycles < 1 || wlimit == nullptr ||
-            wlimit->type() != JsonValue::Type::kNumber ||
-            !std::isfinite(wlimit->as_number()) ||
-            !(wlimit->as_number() > 0.0)) {
-          throw ParseError(journal_path(shard_key), 0,
-                           "malformed journal entry");
-        }
-        key.window_cycles = *cycles;
-        key.window_limit = wlimit->as_number();
-      }
-      key.fingerprint = doc.at("packing").as_string();
-      key.partition = doc.at("partition").as_string();
-      Entry entry;
-      entry.test_time = *time;
-      if (const JsonValue* label = doc.find("label")) {
-        entry.label = label->as_string();
-      }
-      shard.tail[digest].entries.insert_or_assign(std::move(key),
-                                                  std::move(entry));
+      ParsedEntry parsed = parse_entry(doc, journal_path(shard_key));
+      shard.tail[digest].entries.insert_or_assign(
+          std::move(parsed.key),
+          Entry{parsed.test_time, std::move(parsed.label)});
     } else if (op == "meta") {
       Staged& staged = shard.tail[digest];
       if (const JsonValue* name = doc.find("soc_name")) {
@@ -576,11 +549,8 @@ void ResultCache::open_locked(const std::string& digest,
   store.last_used = ++use_tick_;
   if (!soc_name.empty()) store.soc_name = soc_name;
   if (!inserted || !disk_backed()) return;
-  // Layered load, later layers win: legacy single-file store, then the
-  // v4 snapshot, then a replay of the shard journal.
-  load_snapshot_file_locked(legacy_path(digest), digest, /*v4=*/false, store);
-  load_snapshot_file_locked(snapshot_path(digest), digest, /*v4=*/true,
-                            store);
+  // Layered load, the journal replay winning over the snapshot.
+  load_snapshot_locked(digest, store);
   scan_shard_shared_locked(shard_key_of(digest));
   apply_staged_locked(digest, store);
 }
@@ -739,10 +709,7 @@ void ResultCache::compact_shard_locked(const std::string& shard_key,
     // into the snapshot file and reset the journal — re-reading the
     // file here is the only way not to lose them when we overwrite it.
     Store assembled;
-    load_snapshot_file_locked(legacy_path(digest), digest, /*v4=*/false,
-                              assembled);
-    load_snapshot_file_locked(snapshot_path(digest), digest, /*v4=*/true,
-                              assembled);
+    load_snapshot_locked(digest, assembled);
     const auto it = stores_.find(digest);
     if (it != stores_.end()) {
       // Layer the open store on top: it folds journal-at-open + this
@@ -773,12 +740,6 @@ void ResultCache::compact_shard_locked(const std::string& shard_key,
                       /*sync=*/true);
     ++stats.snapshots_written;
     stats.records_folded += static_cast<long long>(staged.entries.size());
-    // The v4 snapshot now supersedes any legacy v1/v2/v3 file — this
-    // is the v1→v4 migration step.
-    std::error_code ec;
-    if (fs::remove(legacy_path(digest), ec) && !ec) {
-      ++stats.legacy_files_migrated;
-    }
   }
   // Reset the journal: new-generation header first, then drop the
   // folded records.  A crash in between leaves old records under a new
@@ -803,7 +764,7 @@ CompactionStats ResultCache::compact() {
   std::error_code ec;
   if (!fs::is_directory(directory_, ec) || ec) return stats;
   std::vector<std::string> shard_keys;
-  std::vector<std::string> legacy_digests;
+  std::vector<std::string> ignored;
   for (const fs::directory_entry& entry :
        fs::directory_iterator(directory_, ec)) {
     if (entry.is_directory(ec)) {
@@ -812,11 +773,21 @@ CompactionStats ResultCache::compact() {
         shard_keys.push_back(entry.path().filename().string());
       }
     } else if (entry.path().extension() == ".json") {
-      legacy_digests.push_back(entry.path().stem().string());
+      ignored.push_back(entry.path().filename().string());
     }
   }
   std::sort(shard_keys.begin(), shard_keys.end());
-  std::sort(legacy_digests.begin(), legacy_digests.end());
+  if (!ignored.empty()) {
+    // Top-level stores predate the sharded layout.  Every value in them
+    // can be recomputed, so they are cold misses, never read or deleted.
+    std::sort(ignored.begin(), ignored.end());
+    std::string names;
+    for (const std::string& name : ignored) {
+      names += (names.empty() ? "" : ", ") + name;
+    }
+    log_warn("ignoring ", ignored.size(), " legacy cache store(s) in ",
+             directory_, " (only ", kSchema, " is read): ", names);
+  }
   for (const std::string& shard_key : shard_keys) {
     try {
       FileLock journal = FileLock::exclusive(journal_path(shard_key));
@@ -830,34 +801,6 @@ CompactionStats ResultCache::compact() {
                e.what());
     }
   }
-  // Migrate legacy stores with no journal presence: rewrite as v4
-  // snapshots in their shard, then retire the legacy file.
-  for (const std::string& digest : legacy_digests) {
-    if (!read_file_if_exists(legacy_path(digest)).has_value()) {
-      continue;  // already migrated by a shard fold above
-    }
-    Store assembled;
-    if (!load_snapshot_file_locked(legacy_path(digest), digest, /*v4=*/false,
-                                   assembled)) {
-      continue;  // corrupt (counted); leave the evidence in place
-    }
-    load_snapshot_file_locked(snapshot_path(digest), digest, /*v4=*/true,
-                              assembled);
-    apply_staged_locked(digest, assembled);
-    try {
-      ensure_directory(shard_dir(shard_key_of(digest)));
-      write_file_atomic(snapshot_path(digest),
-                        serialize_store_locked(digest, assembled),
-                        /*sync=*/true);
-    } catch (const Error& e) {
-      log_warn("cannot migrate legacy cache store ", legacy_path(digest),
-               ": ", e.what());
-      continue;
-    }
-    fs::remove(legacy_path(digest), ec);
-    ++stats.snapshots_written;
-    ++stats.legacy_files_migrated;
-  }
   return stats;
 }
 
@@ -865,7 +808,7 @@ std::string ResultCache::serialize_store_locked(const std::string& digest,
                                                 const Store& store) const {
   std::ostringstream os;
   os << "{\n"
-     << "  \"schema\": \"" << kSchemaV4 << "\",\n"
+     << "  \"schema\": \"" << kSchema << "\",\n"
      << "  \"digest\": \"" << json_escape(digest) << "\",\n"
      << "  \"soc_name\": \"" << json_escape(store.soc_name) << "\",\n";
   if (store.inventory.has_value()) {
@@ -878,19 +821,9 @@ std::string ResultCache::serialize_store_locked(const std::string& digest,
   for (const auto& [key, entry] : store.snapshot) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "    {\"width\": " << key.tam_width << ", ";
-    if (key.max_power > 0.0) {
-      os << "\"max_power\": " << round_trip_double(key.max_power) << ", ";
-    }
-    if (key.window_cycles > 0) {
-      os << "\"window_cycles\": " << key.window_cycles
-         << ", \"window_limit\": " << round_trip_double(key.window_limit)
-         << ", ";
-    }
-    os << "\"packing\": \"" << json_escape(key.fingerprint) << "\", "
-       << "\"partition\": \"" << json_escape(key.partition)
-       << "\", \"label\": \"" << json_escape(entry.label) << "\", "
-       << "\"test_time\": " << entry.test_time << "}";
+    os << "    {";
+    write_entry_fields(os, key, entry.label, entry.test_time);
+    os << "}";
   }
   os << "\n  ]\n}\n";
   return os.str();

@@ -33,6 +33,14 @@ struct Series {
   std::size_t weight_index = 0;
 };
 
+/// What one series' engine reported about its replan; `replanned` is
+/// false when it found no usable baseline and planned cold.
+struct SeriesReplan {
+  bool replanned = false;
+  int reused = 0;
+  int dirty_partitions = 0;
+};
+
 SweepRow make_row(const soc::Soc& soc, int tam_width, double max_power,
                   double w_time, const SweepConfig& config) {
   SweepRow row;
@@ -143,15 +151,14 @@ SweepResult run_sweep(const SweepConfig& config) {
 
   // Per-series replan provenance, aggregated after the fan-out (rows
   // are disjoint per series, so only these need dedicated slots).
-  std::vector<int> series_reused(series.size(), 0);
-  std::vector<int> series_dirty(series.size(), 0);
+  std::vector<SeriesReplan> series_replan(series.size());
 
   ThreadPool pool(outer);
   for (std::size_t series_index = 0; series_index < series.size();
        ++series_index) {
     const Series& s = series[series_index];
-    pool.submit([&result, &config, &cache, &tables, &series_reused,
-                 &series_dirty, series_index, s, inner] {
+    pool.submit([&result, &config, &cache, &tables, &series_replan,
+                 series_index, s, inner] {
       const soc::Soc& soc = config.socs[s.soc_index];
       const double w_time = config.time_weights[s.weight_index];
       const auto row_index = [&](std::size_t width_index,
@@ -191,8 +198,9 @@ SweepResult run_sweep(const SweepConfig& config) {
                                             ? engine.run()
                                             : engine.replan(
                                                   config.replan_from);
-        series_reused[series_index] = frontier.reused;
-        series_dirty[series_index] = frontier.dirty_partitions;
+        series_replan[series_index] = {!frontier.replanned_from.empty(),
+                                       frontier.reused,
+                                       frontier.dirty_partitions};
 
         std::map<std::pair<int, double>, const FrontierPoint*> by_cell;
         for (const FrontierPoint& point : frontier.points) {
@@ -244,18 +252,19 @@ SweepResult run_sweep(const SweepConfig& config) {
   pool.wait();
   if (cache != nullptr) {
     cache->flush();
-    result.cache_used = true;
     result.cache_hits = cache->hits() - base_hits;
     result.cache_misses = cache->misses() - base_misses;
     result.cache_records = cache->records() - base_records;
     result.cache_corrupt_files = cache->corrupt_files() - base_corrupt;
   }
-  if (!config.replan_from.empty()) {
+  // Provenance comes only from series whose engine really spliced from
+  // the baseline; one that found it unusable planned cold.
+  for (const SeriesReplan& replan : series_replan) {
+    if (!replan.replanned) continue;
     result.replanned_from = config.replan_from;
-    for (const int reused : series_reused) result.reused += reused;
-    for (const int dirty : series_dirty) {
-      result.dirty_partitions = std::max(result.dirty_partitions, dirty);
-    }
+    result.reused += replan.reused;
+    result.dirty_partitions =
+        std::max(result.dirty_partitions, replan.dirty_partitions);
   }
   result.total_wall_ms = elapsed_ms(start);
   return result;
@@ -268,106 +277,54 @@ SweepConfig default_benchmark_sweep() {
   return config;
 }
 
-namespace {
-
-/// v2-schema switch, mirroring the frontier serializers: only a sweep
-/// that actually ran power-constrained cases changes its documents.
-bool any_power_constrained(const std::vector<SweepRow>& rows) {
-  return std::any_of(rows.begin(), rows.end(),
-                     [](const SweepRow& r) { return r.max_power > 0.0; });
-}
-
-/// v4-schema switch: only a sweep that actually enforced a sliding
-/// window emits the window columns/fields.
-bool any_windowed(const std::vector<SweepRow>& rows) {
-  return std::any_of(rows.begin(), rows.end(),
-                     [](const SweepRow& r) { return r.window_cycles > 0; });
-}
-
-}  // namespace
-
 std::string SweepResult::to_csv() const {
-  const bool constrained = any_power_constrained(rows);
-  const bool windowed = any_windowed(rows);
-  const bool replan = !replanned_from.empty();
   std::ostringstream out;
-  std::vector<std::string> header = {"soc", "tam_width", "w_time",
-                                     "algorithm", "best_label", "best_total",
-                                     "c_time", "c_area", "test_time",
-                                     "t_max", "evaluations",
-                                     "total_combinations",
-                                     "evaluation_reduction_percent",
-                                     "wall_ms", "error"};
-  if (replan) header.insert(header.begin() + 12, "reused");
-  if (windowed) {
-    header.insert(header.begin() + 2, {"window_cycles", "window_limit"});
-  }
-  if (constrained) header.insert(header.begin() + 2, "max_power");
-  CsvWriter csv(out, header);
+  CsvWriter csv(out, {"soc", "tam_width", "max_power", "window_cycles",
+                      "window_limit", "w_time", "algorithm", "best_label",
+                      "best_total", "c_time", "c_area", "test_time", "t_max",
+                      "evaluations", "total_combinations", "reused",
+                      "evaluation_reduction_percent", "wall_ms", "error"});
   for (const SweepRow& r : rows) {
-    std::vector<std::string> row = {
-        r.soc_name, std::to_string(r.tam_width),
-        round_trip_double(r.w_time), r.algorithm, r.best_label,
-        round_trip_double(r.best_total), round_trip_double(r.c_time),
-        round_trip_double(r.c_area), std::to_string(r.test_time),
-        std::to_string(r.t_max), std::to_string(r.evaluations),
-        std::to_string(r.total_combinations),
-        round_trip_double(r.evaluation_reduction_percent),
-        round_trip_double(r.wall_ms), r.error};
-    if (replan) row.insert(row.begin() + 12, std::to_string(r.reused));
-    if (windowed) {
-      row.insert(row.begin() + 2,
-                 {std::to_string(r.window_cycles),
-                  round_trip_double(r.window_limit)});
-    }
-    if (constrained) {
-      row.insert(row.begin() + 2, round_trip_double(r.max_power));
-    }
-    csv.write_row(row);
+    csv.write_row(
+        {r.soc_name, std::to_string(r.tam_width),
+         round_trip_double(r.max_power), std::to_string(r.window_cycles),
+         round_trip_double(r.window_limit), round_trip_double(r.w_time),
+         r.algorithm, r.best_label, round_trip_double(r.best_total),
+         round_trip_double(r.c_time), round_trip_double(r.c_area),
+         std::to_string(r.test_time), std::to_string(r.t_max),
+         std::to_string(r.evaluations), std::to_string(r.total_combinations),
+         std::to_string(r.reused),
+         round_trip_double(r.evaluation_reduction_percent),
+         round_trip_double(r.wall_ms), r.error});
   }
   return out.str();
 }
 
 std::string SweepResult::to_json() const {
-  const bool constrained = any_power_constrained(rows);
-  const bool windowed = any_windowed(rows);
-  const bool replan = !replanned_from.empty();
-  const char* schema =
-      windowed ? "v4" : (cache_used ? "v3" : (constrained ? "v2" : "v1"));
   std::ostringstream os;
   os << "{\n"
-     << "  \"schema\": \"msoc-sweep-" << schema << "\",\n"
+     << "  \"schema\": \"msoc-sweep-v5\",\n"
      << "  \"exhaustive\": " << (exhaustive ? "true" : "false") << ",\n"
      << "  \"epsilon\": " << round_trip_double(epsilon) << ",\n"
-     << "  \"jobs\": " << jobs << ",\n";
-  if (replan) {
-    os << "  \"replanned_from\": \"" << json_escape(replanned_from)
-       << "\",\n"
-       << "  \"reused\": " << reused << ",\n"
-       << "  \"dirty_partitions\": " << dirty_partitions << ",\n";
-  }
-  if (cache_used) {
-    os << "  \"cache\": {\"hits\": " << cache_hits << ", "
-       << "\"misses\": " << cache_misses << ", "
-       << "\"records\": " << cache_records << ", "
-       << "\"corrupt_files\": " << cache_corrupt_files << "},\n";
-  }
-  os << "  \"total_wall_ms\": " << round_trip_double(total_wall_ms) << ",\n"
+     << "  \"jobs\": " << jobs << ",\n"
+     << "  \"replanned_from\": \"" << json_escape(replanned_from) << "\",\n"
+     << "  \"reused\": " << reused << ",\n"
+     << "  \"dirty_partitions\": " << dirty_partitions << ",\n"
+     << "  \"cache\": {\"hits\": " << cache_hits << ", "
+     << "\"misses\": " << cache_misses << ", "
+     << "\"records\": " << cache_records << ", "
+     << "\"corrupt_files\": " << cache_corrupt_files << "},\n"
+     << "  \"total_wall_ms\": " << round_trip_double(total_wall_ms) << ",\n"
      << "  \"cases\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"soc\": \"" << json_escape(r.soc_name) << "\", "
-       << "\"tam_width\": " << r.tam_width << ", ";
-    if (constrained) {
-      os << "\"max_power\": " << round_trip_double(r.max_power) << ", ";
-    }
-    if (windowed) {
-      os << "\"window_cycles\": " << r.window_cycles << ", "
-         << "\"window_limit\": " << round_trip_double(r.window_limit)
-         << ", ";
-    }
-    os << "\"w_time\": " << round_trip_double(r.w_time) << ", "
+       << "\"tam_width\": " << r.tam_width << ", "
+       << "\"max_power\": " << round_trip_double(r.max_power) << ", "
+       << "\"window_cycles\": " << r.window_cycles << ", "
+       << "\"window_limit\": " << round_trip_double(r.window_limit) << ", "
+       << "\"w_time\": " << round_trip_double(r.w_time) << ", "
        << "\"algorithm\": \"" << json_escape(r.algorithm) << "\", "
        << "\"wall_ms\": " << round_trip_double(r.wall_ms) << ", ";
     if (!r.ok()) {
@@ -381,9 +338,9 @@ std::string SweepResult::to_json() const {
        << "\"test_time\": " << r.test_time << ", "
        << "\"t_max\": " << r.t_max << "}, "
        << "\"evaluations\": " << r.evaluations << ", "
-       << "\"total_combinations\": " << r.total_combinations << ", ";
-    if (replan) os << "\"reused\": " << r.reused << ", ";
-    os << "\"evaluation_reduction_percent\": "
+       << "\"total_combinations\": " << r.total_combinations << ", "
+       << "\"reused\": " << r.reused << ", "
+       << "\"evaluation_reduction_percent\": "
        << round_trip_double(r.evaluation_reduction_percent) << "}";
   }
   os << "\n  ]\n}\n";

@@ -30,13 +30,11 @@
 #include <string>
 #include <vector>
 
-#include "msoc/common/fileio.hpp"
 #include "msoc/plan/result_cache.hpp"
 
 namespace {
 
 using msoc::Cycles;
-using msoc::plan::CompactionStats;
 using msoc::plan::ResultCache;
 
 constexpr const char* kDigest = "ab12cd34ef56ab78";
@@ -104,56 +102,6 @@ int run_reader(const std::string& dir, int rounds, int writers, int count) {
   return 0;
 }
 
-/// Iteration tag for the pre-seeded legacy entries — far outside the
-/// range any writer uses, so the seed and the live traffic never
-/// collide on keys.
-constexpr int kLegacyIteration = 500;
-
-/// Plants a legacy single-file msoc-cache-v3 store at <dir>/<digest>.json
-/// before any writer starts.  Compaction migrates such files (write the
-/// v4 snapshot, THEN delete the legacy root) — with writers SIGKILLed
-/// mid-compact, the audit proves the migration window never loses the
-/// seeded entries, killed-or-not.  The store is built through the real
-/// API in a scratch directory: a v4 snapshot body is exactly a v3 body,
-/// so only the schema string needs rewriting.
-void seed_legacy_store(const std::string& dir, int count) {
-  const std::string scratch = dir + ".legacy_seed";
-  std::filesystem::remove_all(scratch);
-  {
-    ResultCache cache(scratch);
-    cache.open(kDigest, "stress_soc");
-    for (int i = 0; i < count; ++i) {
-      cache.record(kDigest, key_of(kLegacyIteration, 0, i), "seed",
-                   value_of(kLegacyIteration, 0, i));
-    }
-    cache.flush();
-    (void)cache.compact();
-  }
-  std::string snapshot;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(scratch)) {
-    if (entry.path().filename() == std::string(kDigest) + ".json") {
-      snapshot = entry.path().string();
-      break;
-    }
-  }
-  if (snapshot.empty()) {
-    std::fprintf(stderr, "seed: no snapshot produced in %s\n",
-                 scratch.c_str());
-    std::exit(2);
-  }
-  std::string body = msoc::read_file(snapshot);
-  const std::size_t at = body.find("msoc-cache-v4");
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "seed: snapshot is not a v4 store\n");
-    std::exit(2);
-  }
-  body.replace(at, std::strlen("msoc-cache-v4"), "msoc-cache-v3");
-  msoc::ensure_directory(dir);
-  msoc::write_file_atomic(dir + "/" + kDigest + ".json", body);
-  std::filesystem::remove_all(scratch);
-}
-
 pid_t spawn(int (*body)(const std::string&, int, int, int),
             const std::string& dir, int a, int b, int c) {
   const pid_t pid = ::fork();
@@ -177,18 +125,6 @@ bool audit(const std::string& dir,
     std::fprintf(stderr, "audit: corrupt_files() == %d\n",
                  cache.corrupt_files());
     return false;
-  }
-  // The pre-seeded legacy store: every entry stays visible and exact
-  // whether it is still the root v3 file or a compacting writer
-  // migrated it into a v4 snapshot — including a writer SIGKILLed
-  // between the snapshot write and the legacy-file delete.
-  for (int i = 0; i < count; ++i) {
-    const auto hit = cache.lookup(kDigest, key_of(kLegacyIteration, 0, i));
-    if (!hit.has_value() || *hit != value_of(kLegacyIteration, 0, i)) {
-      std::fprintf(stderr, "audit: legacy entry i=%d %s\n", i,
-                   hit.has_value() ? "has a wrong value" : "is missing");
-      return false;
-    }
   }
   for (std::size_t it = 0; it < survived.size(); ++it) {
     for (std::size_t w = 0; w < survived[it].size(); ++w) {
@@ -219,7 +155,6 @@ int run_supervisor(const std::string& dir, int writers, int readers,
                    int iterations) {
   std::filesystem::remove_all(dir);
   const int count = 40;  // entries (= flushes) per writer per iteration
-  seed_legacy_store(dir, count);
   std::mt19937 rng(12345);
   long long kills = 0;
   std::vector<std::vector<bool>> survived;

@@ -1,9 +1,9 @@
 // The msoc-cache-v4 store's crash-safety contract, tested from the
 // journal framing up: WAL round-trips, torn-tail truncation at every
 // byte offset of a record, checksum flips, replay idempotence,
-// compaction equivalence across flush cadences, the v1/v2/v3 legacy
-// read ladder, per-class corruption counting, LRU eviction, and the
-// EntryKey NaN regression.
+// compaction equivalence across flush cadences, per-class corruption
+// counting, ignored top-level stores of the retired layouts, LRU
+// eviction, and the EntryKey NaN regression.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -315,11 +315,11 @@ TEST(CacheJournal, CorruptClassesAreCountedPerJournal) {
     cache.open(kDigest);
     EXPECT_EQ(cache.corrupt_files(), 1);
   }
-  // Class 4: an unparseable legacy store file.
+  // Class 4: an unparseable snapshot.
   {
-    const std::string dir = fresh_dir("corrupt_legacy");
-    write_bytes(fs::path(dir) / (std::string(kDigest) + ".json"),
-                "{\"schema\": \"msoc-cache-v3\", \"digest\"");
+    const std::string dir = fresh_dir("corrupt_snapshot");
+    write_bytes(fs::path(dir) / "ab" / (std::string(kDigest) + ".json"),
+                "{\"schema\": \"msoc-cache-v4\", \"digest\"");
     ResultCache cache(dir);
     cache.open(kDigest);
     EXPECT_EQ(cache.corrupt_files(), 1);
@@ -399,81 +399,35 @@ TEST(CacheJournal, CompactionIsEquivalentAcrossFlushCadences) {
   EXPECT_EQ(reader.replayed_records(), 0);  // snapshot, not journal
 }
 
-// --- Legacy read ladder (fixtures under tests/data/). ---
+// --- Retired layouts. ---
 
-void install_fixture(const std::string& dir, const char* fixture,
-                     const std::string& digest) {
-  const fs::path source = fs::path(MSOC_TESTS_DATA_DIR) / fixture;
-  ASSERT_TRUE(fs::is_regular_file(source)) << source;
-  fs::create_directories(dir);
-  fs::copy_file(source, fs::path(dir) / (digest + ".json"));
-}
-
-TEST(CacheLegacy, V1StoreHitsButCannotSeedReplan) {
-  const std::string dir = fresh_dir("legacy_v1");
-  const std::string digest = "1111aaaa2222bbbb";
-  install_fixture(dir, "cache_v1.json", digest);
+TEST(CacheJournal, TopLevelStoreIsAColdMissAndSurvivesCompaction) {
+  // A single-file store at <dir>/<digest>.json predates the sharded
+  // layout.  It is never read: a cold miss, not corruption, and
+  // compaction leaves it byte-for-byte in place.
+  const std::string dir = fresh_dir("top_level");
+  const fs::path top = fs::path(dir) / (std::string(kDigest) + ".json");
+  const std::string body =
+      "{\"schema\": \"msoc-cache-v3\", \"digest\": \"" +
+      std::string(kDigest) +
+      "\", \"entries\": [{\"width\": 16, \"packing\": "
+      "\"00000000feedbead\", \"partition\": \"part-0\", "
+      "\"test_time\": 4242}]}";
+  write_bytes(top, body);
   ResultCache cache(dir);
-  cache.open(digest);
-  const ResultCache::EntryKey w16(16, 0.0, "00000000deadbeef",
-                                  "fix-a,fix-b|fix-c");
-  const ResultCache::EntryKey w32(32, 0.0, "00000000deadbeef",
-                                  "fix-a,fix-b|fix-c");
-  EXPECT_EQ(*cache.lookup(digest, w16), 4242u);
-  EXPECT_EQ(*cache.lookup(digest, w32), 2121u);
+  cache.open(kDigest, "socname");
+  EXPECT_FALSE(cache.lookup(kDigest, key_of(16, 0.0, 0)).has_value());
   EXPECT_EQ(cache.corrupt_files(), 0);
-  // v1 carries no digest inventory: it may serve lookups but must
-  // refuse to seed a replan.
-  EXPECT_FALSE(cache.inventory(digest).has_value());
-}
-
-TEST(CacheLegacy, V2StoreReadsPowerEntriesButCannotSeedReplan) {
-  const std::string dir = fresh_dir("legacy_v2");
-  const std::string digest = "2222bbbb3333cccc";
-  install_fixture(dir, "cache_v2.json", digest);
-  ResultCache cache(dir);
-  cache.open(digest);
-  const ResultCache::EntryKey plain(16, 0.0, "00000000deadbeef",
-                                    "fix-a|fix-b");
-  const ResultCache::EntryKey powered(16, 250.0, "00000000deadbeef",
-                                      "fix-a|fix-b");
-  EXPECT_EQ(*cache.lookup(digest, plain), 9000u);
-  EXPECT_EQ(*cache.lookup(digest, powered), 9500u);
-  EXPECT_FALSE(cache.inventory(digest).has_value());
-}
-
-TEST(CacheLegacy, V3StoreReadsInventoryAndCompactionMigratesIt) {
-  const std::string dir = fresh_dir("legacy_v3");
-  const std::string digest = "3333cccc4444dddd";
-  install_fixture(dir, "cache_v3.json", digest);
-  ResultCache cache(dir);
-  cache.open(digest);
-  const ResultCache::EntryKey plain(24, 0.0, "00000000deadbeef",
-                                    "fix-a,fix-b");
-  const ResultCache::EntryKey powered(24, 300.0, "00000000deadbeef",
-                                      "fix-a,fix-b");
-  EXPECT_EQ(*cache.lookup(digest, plain), 7777u);
-  EXPECT_EQ(*cache.lookup(digest, powered), 8888u);
-  const auto inventory = cache.inventory(digest);
-  ASSERT_TRUE(inventory.has_value());  // v3 CAN seed a replan
-  EXPECT_EQ(inventory->max_power, 300.0);
-  ASSERT_EQ(inventory->digital.size(), 1u);
-  ASSERT_EQ(inventory->analog.size(), 1u);
-
-  // Migration: compaction rewrites the legacy store as a v4 shard
-  // snapshot and deletes the old file.
+  cache.record(kDigest, key_of(16, 0.0, 1), "fresh", 100);
   const CompactionStats stats = cache.compact();
-  EXPECT_EQ(stats.legacy_files_migrated, 1);
-  EXPECT_FALSE(fs::exists(fs::path(dir) / (digest + ".json")));
-  const fs::path snapshot = fs::path(dir) / "33" / (digest + ".json");
-  ASSERT_TRUE(fs::is_regular_file(snapshot));
-  EXPECT_NE(read_bytes(snapshot).find("msoc-cache-v4"), std::string::npos);
-  ResultCache migrated(dir);
-  migrated.open(digest);
-  EXPECT_EQ(*migrated.lookup(digest, plain), 7777u);
-  EXPECT_EQ(*migrated.lookup(digest, powered), 8888u);
-  ASSERT_TRUE(migrated.inventory(digest).has_value());
-  EXPECT_EQ(migrated.inventory(digest)->max_power, 300.0);
+  EXPECT_EQ(stats.shards_compacted, 1);
+  EXPECT_EQ(read_bytes(top), body);
+  EXPECT_EQ(cache.corrupt_files(), 0);
+  ResultCache reader(dir);
+  reader.open(kDigest);
+  EXPECT_FALSE(reader.lookup(kDigest, key_of(16, 0.0, 0)).has_value());
+  EXPECT_EQ(*reader.lookup(kDigest, key_of(16, 0.0, 1)), 100u);
+  EXPECT_EQ(reader.corrupt_files(), 0);
 }
 
 // --- EntryKey validation (the NaN strict-weak-ordering regression). ---

@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <regex>
 #include <string>
+#include <vector>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
@@ -28,6 +30,14 @@ std::string fresh_dir(const char* name) {
                        name;
   fs::remove_all(dir);
   return dir.string();
+}
+
+/// Where an msoc-cache-v4 store keeps the snapshot of `digest` (the
+/// shard directory is created).
+std::string snapshot_file(const std::string& dir, const std::string& digest) {
+  const fs::path shard = fs::path(dir) / digest.substr(0, 2);
+  fs::create_directories(shard);
+  return (shard / (digest + ".json")).string();
 }
 
 FrontierOptions d695m_options(std::vector<int> widths = {16, 24, 32}) {
@@ -251,12 +261,12 @@ TEST(Frontier, CorruptCacheFallsBackToRecompute) {
   const std::string digest = soc::digest_hex(soc);
   const std::vector<std::string> garbage_files = {
       "{ not json at all",                      // unparseable
-      "{\"schema\": \"msoc-cache-v1\", \"dig",  // truncated
+      "{\"schema\": \"msoc-cache-v4\", \"dig",  // truncated
       "{\"schema\": \"wrong-schema\", \"digest\": \"" + digest +
           "\", \"entries\": []}",               // wrong schema
-      "{\"schema\": \"msoc-cache-v1\", \"digest\": \"beef\", "
+      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"beef\", "
       "\"entries\": []}",                       // wrong digest
-      "{\"schema\": \"msoc-cache-v1\", \"digest\": \"" + digest +
+      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"" + digest +
           "\", \"entries\": [{\"width\": -1, \"packing\": \"p\", "
           "\"partition\": \"q\", \"test_time\": 1}]}",  // bad entry
   };
@@ -267,9 +277,7 @@ TEST(Frontier, CorruptCacheFallsBackToRecompute) {
     // next iteration's supposedly cold run.
     const std::string dir =
         fresh_dir(("frontier_corrupt_" + std::to_string(g)).c_str());
-    ensure_directory(dir);
-    const std::string cache_file = dir + "/" + digest + ".json";
-    write_file_atomic(cache_file, garbage);
+    write_file_atomic(snapshot_file(dir, digest), garbage);
     ResultCache cache(dir);
     FrontierOptions options = d695m_options();
     options.cache = &cache;
@@ -302,7 +310,6 @@ TEST(Frontier, StaleCacheEntriesRecomputedNotFatal) {
       FrontierEngine(soc, d695m_options({16})).run();
 
   const std::string dir = fresh_dir("frontier_stale");
-  ensure_directory(dir);
   const std::string digest = soc::digest_hex(soc);
   std::vector<std::size_t> everyone(soc.analog_count());
   for (std::size_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
@@ -311,8 +318,8 @@ TEST(Frontier, StaleCacheEntriesRecomputedNotFatal) {
   // An absurdly small all-share baseline: every honest makespan
   // exceeds it, and a fresh pack disagrees with it.
   write_file_atomic(
-      dir + "/" + digest + ".json",
-      "{\"schema\": \"msoc-cache-v1\", \"digest\": \"" + digest +
+      snapshot_file(dir, digest),
+      "{\"schema\": \"msoc-cache-v4\", \"digest\": \"" + digest +
           "\", \"soc_name\": \"d695m\", \"entries\": [{\"width\": 16, "
           "\"packing\": \"" + packing_fingerprint(tam::PackingOptions{}) +
           "\", \"partition\": \"" +
@@ -378,12 +385,27 @@ TEST(Frontier, ReorderedSocHitsTheSameCache) {
   }
 }
 
+/// Every JSON key of a document, in document order.
+std::vector<std::string> json_keys(const std::string& json) {
+  static const std::regex key("\"([a-z_]+)\": ");
+  std::vector<std::string> keys;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), key);
+       it != std::sregex_iterator(); ++it) {
+    keys.push_back((*it)[1]);
+  }
+  return keys;
+}
+
+std::string first_line(const std::string& text) {
+  return text.substr(0, text.find('\n'));
+}
+
 TEST(Frontier, JsonAndCsvCarrySchemaAndRows) {
   const soc::Soc soc = soc::make_d695m();
   FrontierEngine engine(soc, d695m_options({4, 32}));
   const FrontierResult result = engine.run();
   const std::string json = result.to_json();
-  EXPECT_NE(json.find("\"schema\": \"msoc-frontier-v1\""),
+  EXPECT_NE(json.find("\"schema\": \"msoc-frontier-v5\""),
             std::string::npos);
   EXPECT_NE(json.find("\"digest\""), std::string::npos);
   EXPECT_NE(json.find("\"error\""), std::string::npos);   // width 4
@@ -393,6 +415,32 @@ TEST(Frontier, JsonAndCsvCarrySchemaAndRows) {
   for (const char c : csv) lines += c == '\n';
   EXPECT_EQ(lines, 1u + result.points.size());
   EXPECT_NE(csv.find("soc,tam_width"), std::string::npos);
+
+  // One schema whatever the run used: a powered, a windowed and a
+  // replanned result serialize with the plain one's key sequence and
+  // CSV header.
+  ResultCache cache;
+  FrontierOptions options = d695m_options({4, 32});
+  options.cache = &cache;
+  (void)FrontierEngine(soc, options).run();
+  cache.flush();
+  const FrontierResult replanned =
+      FrontierEngine(soc, options).replan(result.digest);
+  ASSERT_EQ(replanned.replanned_from, result.digest);
+  const soc::Soc powered = soc::powered_d695m(2.0);
+  options.cache = nullptr;
+  const FrontierResult constrained = FrontierEngine(powered, options).run();
+  ASSERT_GT(constrained.points[1].max_power, 0.0);
+  options.max_powers = {0.0};
+  options.packing.window_cycles = 4096;
+  options.packing.window_limit = powered.peak_test_power();
+  const FrontierResult windowed = FrontierEngine(powered, options).run();
+  ASSERT_GT(windowed.points[1].window_cycles, 0u);
+  for (const FrontierResult* other : {&constrained, &windowed, &replanned}) {
+    ASSERT_TRUE(other->points[1].ok()) << other->points[1].error;
+    EXPECT_EQ(json_keys(other->to_json()), json_keys(json));
+    EXPECT_EQ(first_line(other->to_csv()), first_line(csv));
+  }
 }
 
 // --- Power ladder. ---
@@ -412,8 +460,8 @@ TEST(FrontierPower, LadderSolvesEveryWidthPowerCell) {
     ASSERT_TRUE(p.ok()) << p.error;
     EXPECT_LE(p.best.c_time, 100.0 + 1e-9);
   }
-  // v2 documents carry the budget; the CSV grows the extra column.
-  EXPECT_NE(result.to_json().find("\"schema\": \"msoc-frontier-v2\""),
+  // The documents carry each cell's budget.
+  EXPECT_NE(result.to_json().find("\"schema\": \"msoc-frontier-v5\""),
             std::string::npos);
   EXPECT_NE(result.to_json().find("\"max_power\": "), std::string::npos);
   EXPECT_NE(result.to_csv().find("soc,tam_width,max_power"),

@@ -254,9 +254,10 @@ TEST(PlanService, CachelessSweepMatchesDefaultBenchmarkDocument) {
   ASSERT_TRUE(reply.at("ok").as_bool());
   const JsonValue document =
       parse_json(reply.at("document").as_string(), "sweep document");
-  // Cacheless service must keep emitting the cacheless v1 schema —
-  // that is the byte-identity contract with standalone msoc_plan.
-  EXPECT_EQ(document.at("schema").as_string(), "msoc-sweep-v1");
+  // A cacheless service writes the all-zero cache block standalone
+  // msoc_plan writes — the byte-identity contract.
+  EXPECT_EQ(document.at("schema").as_string(), "msoc-sweep-v5");
+  EXPECT_EQ(document.at("cache").at("hits").as_number(), 0.0);
   EXPECT_EQ(document.at("cases").as_array().size(), 2u);
 }
 

@@ -5,10 +5,15 @@
 
 #include <filesystem>
 #include <limits>
+#include <regex>
+#include <string>
+#include <vector>
 
 #include "msoc/common/error.hpp"
+#include "msoc/common/format.hpp"
 #include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/benchmarks.hpp"
+#include "msoc/soc/digest.hpp"
 #include "powered_fixtures.hpp"
 
 namespace msoc::plan {
@@ -100,14 +105,31 @@ TEST(Sweep, CsvHasHeaderAndOneLinePerCase) {
   std::size_t lines = 0;
   for (const char c : csv) lines += c == '\n';
   EXPECT_EQ(lines, 1u + result.rows.size());
-  EXPECT_NE(csv.find("soc,tam_width,w_time,algorithm"), std::string::npos);
+  EXPECT_NE(csv.find("soc,tam_width,max_power,window_cycles,window_limit,"
+                     "w_time,algorithm"),
+            std::string::npos);
   EXPECT_NE(csv.find("d695m"), std::string::npos);
+}
+
+/// Every JSON key of a document, in document order.
+std::vector<std::string> json_keys(const std::string& json) {
+  static const std::regex key("\"([a-z_]+)\": ");
+  std::vector<std::string> keys;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), key);
+       it != std::sregex_iterator(); ++it) {
+    keys.push_back((*it)[1]);
+  }
+  return keys;
+}
+
+std::string first_line(const std::string& text) {
+  return text.substr(0, text.find('\n'));
 }
 
 TEST(Sweep, JsonCarriesSchemaAndCases) {
   const SweepResult result = run_sweep(small_config());
   const std::string json = result.to_json();
-  EXPECT_NE(json.find("\"schema\": \"msoc-sweep-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"msoc-sweep-v5\""), std::string::npos);
   EXPECT_NE(json.find("\"soc\": \"d695m\""), std::string::npos);
   EXPECT_NE(json.find("\"tam_width\": 24"), std::string::npos);
   EXPECT_NE(json.find("\"best\""), std::string::npos);
@@ -124,6 +146,30 @@ TEST(Sweep, JsonCarriesSchemaAndCases) {
   EXPECT_FALSE(in_string);
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
+
+  // One schema whatever the sweep used: a powered, a windowed and a
+  // cached replan sweep serialize with the plain one's key sequence and
+  // CSV header.
+  SweepConfig config = small_config();
+  config.socs = {soc::powered_d695m(1.5)};
+  const SweepResult constrained = run_sweep(config);
+  ASSERT_GT(constrained.rows[0].max_power, 0.0);
+  config.max_powers = {0.0};
+  config.window_cycles = 4096;
+  config.window_limit = config.socs[0].peak_test_power();
+  const SweepResult windowed = run_sweep(config);
+  ASSERT_GT(windowed.rows[0].window_cycles, 0u);
+  ResultCache cache;
+  config = small_config();
+  config.cache = &cache;
+  (void)run_sweep(config);
+  config.replan_from = soc::digest_hex(config.socs[0]);
+  const SweepResult replanned = run_sweep(config);
+  ASSERT_EQ(replanned.replanned_from, config.replan_from);
+  for (const SweepResult* other : {&constrained, &windowed, &replanned}) {
+    EXPECT_EQ(json_keys(other->to_json()), json_keys(json));
+    EXPECT_EQ(first_line(other->to_csv()), first_line(result.to_csv()));
+  }
 }
 
 TEST(Sweep, CacheDirMakesSecondSweepEvaluationFree) {
@@ -204,15 +250,14 @@ TEST(SweepPower, PowerLadderMultipliesCasesInOrder) {
     // baseline normalizes them to.
     EXPECT_LE(row.c_time, 100.0 + 1e-9);
   }
-  // v2 documents; the unconstrained config still writes v1.
-  EXPECT_NE(result.to_json().find("\"schema\": \"msoc-sweep-v2\""),
+  // Constrained cases carry their budget; unconstrained ones write 0.
+  EXPECT_NE(result.to_json().find("\"max_power\": " +
+                                  round_trip_double(result.rows[1].max_power)),
             std::string::npos);
   EXPECT_NE(result.to_csv().find("soc,tam_width,max_power"),
             std::string::npos);
   const SweepResult plain = run_sweep(small_config());
-  EXPECT_NE(plain.to_json().find("\"schema\": \"msoc-sweep-v1\""),
-            std::string::npos);
-  EXPECT_EQ(plain.to_json().find("max_power"), std::string::npos);
+  EXPECT_NE(plain.to_json().find("\"max_power\": 0,"), std::string::npos);
 }
 
 TEST(SweepPower, NonFiniteBudgetsRejectedUpFront) {

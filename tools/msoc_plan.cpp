@@ -69,14 +69,14 @@ void print_usage() {
       "  --cache-dir DIR  persistent result cache (msoc-cache-v4) for\n"
       "                   --sweep/--frontier\n"
       "  --cache-compact  fold the cache's shard journals into snapshots\n"
-      "                   and migrate legacy stores (needs --cache-dir)\n"
+      "                   (needs --cache-dir)\n"
       "  --replan-from DIGEST  incremental re-plan of a --sweep/--frontier\n"
       "                   against the cache store of a previous SOC\n"
       "                   revision: only partitions with changed per-core\n"
       "                   digests are re-packed (needs --cache-dir)\n"
-      "  --json FILE      write results as JSON: msoc-sweep-v1..v4 (a\n"
-      "                   single plan is a one-case sweep) or, with\n"
-      "                   --frontier, msoc-frontier-v1..v4 (docs/formats.md)\n"
+      "  --json FILE      write results as JSON: msoc-sweep-v5 (a single\n"
+      "                   plan is a one-case sweep) or, with --frontier,\n"
+      "                   msoc-frontier-v5 (docs/formats.md)\n"
       "  --gantt          print an ASCII Gantt chart\n"
       "  --csv FILE       export schedule CSV (result table with\n"
       "                   --sweep/--frontier)\n"
@@ -239,9 +239,9 @@ int run_compact_mode(const Cli& cli) {
   const plan::CompactionStats stats = cache.compact();
   std::printf("cache-compact: %s\n", cache.directory().c_str());
   std::printf("  %d shard journals folded (%lld records), %d snapshots "
-              "written, %d legacy stores migrated\n",
+              "written\n",
               stats.shards_compacted, stats.records_folded,
-              stats.snapshots_written, stats.legacy_files_migrated);
+              stats.snapshots_written);
   if (cache.corrupt_files() > 0) {
     std::printf("  %d corrupt artifacts ignored\n", cache.corrupt_files());
   }
@@ -262,11 +262,18 @@ void print_cache_line(const std::string& directory, long long hits,
               directory.c_str(), hits, records, corrupt_tag);
 }
 
-void print_replan_line(const std::string& baseline, int reused,
+/// Replan outcome of a --replan-from run (nothing without one).
+void print_replan_line(const PlanRequest& request,
+                       const std::string& replanned_from, int reused,
                        int dirty_partitions) {
-  std::printf("replan: baseline %s, %d results spliced, %d dirty "
-              "partitions\n",
-              baseline.c_str(), reused, dirty_partitions);
+  if (!replanned_from.empty()) {
+    std::printf("replan: baseline %s, %d results spliced, %d dirty "
+                "partitions\n",
+                replanned_from.c_str(), reused, dirty_partitions);
+  } else if (request.replan_from) {
+    std::printf("replan: baseline %s unusable, planned cold\n",
+                request.replan_from->c_str());
+  }
 }
 
 /// Summary of a frontier run; returns the exit code.
@@ -303,13 +310,8 @@ int report_frontier(const Cli& cli, const msoc::plan::FrontierResult& result,
               result.evaluations, result.cache_hits, result.pruned,
               result.points.empty() ? 0
                                     : result.points.front().total_combinations);
-  if (!result.replanned_from.empty()) {
-    print_replan_line(result.replanned_from, result.reused,
-                      result.dirty_partitions);
-  } else if (request.replan_from) {
-    std::printf("replan: baseline %s unusable, planned cold\n",
-                request.replan_from->c_str());
-  }
+  print_replan_line(request, result.replanned_from, result.reused,
+                    result.dirty_partitions);
   std::printf("test-time frontier is %s across widths\n",
               result.time_monotone ? "monotone non-increasing"
                                    : "NOT monotone (packer anomaly)");
@@ -351,11 +353,9 @@ int report_sweep(const Cli& cli, const msoc::plan::SweepResult& result) {
   }
   std::printf("sweep finished in %.1f ms (%d infeasible of %zu cases)\n",
               result.total_wall_ms, failures, result.rows.size());
-  if (!result.replanned_from.empty()) {
-    print_replan_line(result.replanned_from, result.reused,
-                      result.dirty_partitions);
-  }
-  if (result.cache_used) {
+  print_replan_line(cli.request, result.replanned_from, result.reused,
+                    result.dirty_partitions);
+  if (!cli.cache_dir.empty()) {
     print_cache_line(cli.cache_dir, result.cache_hits, result.cache_records,
                      result.cache_corrupt_files);
   }

@@ -2,12 +2,12 @@
 # Regenerates the golden regression corpus under tests/data/.
 #
 # The corpus pins the exact JSON documents (modulo wall-clock fields,
-# normalized to 0) that msoc_plan produces for:
-#   * the d695m frontier across the paper's width ladder (v1 schema);
-#   * a narrowed d695m sweep (3 widths x 3 weights, v1 schema);
+# normalized to 0) that msoc_plan produces, in the one v5 schema of
+# each document, for:
+#   * the d695m frontier across the paper's width ladder;
+#   * a narrowed d695m sweep (3 widths x 3 weights);
 #   * a power-constrained frontier over the committed
-#     tests/data/d695m_power.soc fixture (v2 schema: 3 budgets x 2
-#     widths).
+#     tests/data/d695m_power.soc fixture (3 budgets x 2 widths).
 # Every field except wall_ms is deterministic for every --jobs value,
 # so a golden mismatch means behaviour changed, not scheduling noise.
 #
