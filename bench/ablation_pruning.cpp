@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "msoc/common/table.hpp"
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
 int main() {
@@ -15,13 +15,15 @@ int main() {
   std::puts("p93791m, W = 48, w_T = w_A = 0.5\n");
 
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 48;
-
-  plan::CostModel exhaustive_model(problem);
-  const plan::OptimizationResult exhaustive =
-      plan::optimize_exhaustive(exhaustive_model);
+  const auto solve = [&soc](bool exhaustive, double epsilon) {
+    plan::FrontierOptions options;
+    options.widths = {48};
+    options.exhaustive = exhaustive;
+    options.epsilon = epsilon;
+    plan::FrontierEngine engine(soc, options);
+    return engine.run().points.front();
+  };
+  const plan::FrontierPoint exhaustive = solve(true, 0.0);
 
   TextTable table(
       {"epsilon", "N evaluated", "%R", "cost", "gap vs optimal"});
@@ -29,13 +31,13 @@ int main() {
                        Align::kRight, Align::kRight});
 
   for (double epsilon : {0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0}) {
-    plan::CostModel model(problem);
-    plan::HeuristicOptions options;
-    options.epsilon = epsilon;
-    const plan::HeuristicResult r =
-        plan::optimize_cost_heuristic(model, options);
-    table.add_row({fixed(epsilon, 1), std::to_string(r.evaluations),
-                   fixed(r.evaluation_reduction_percent(), 1),
+    const plan::FrontierPoint r = solve(false, epsilon);
+    // Fig. 3's N: the runs made plus the ones the lower bound skipped.
+    const int n = r.evaluations + r.pruned;
+    table.add_row({fixed(epsilon, 1), std::to_string(n),
+                   fixed(plan::evaluation_reduction_percent(
+                             n, r.total_combinations),
+                         1),
                    fixed(r.best.total, 2),
                    fixed(r.best.total - exhaustive.best.total, 2)});
   }

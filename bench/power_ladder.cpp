@@ -104,13 +104,7 @@ int main(int argc, char** argv) {
     }
     // Re-derive the winning schedule and re-walk it: the bench gate is
     // the external validity oracle, not the packer's own invariant.
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = p.tam_width;
-    problem.packing.max_power = p.max_power;
-    plan::CostModel model(problem);
-    tam::Schedule schedule = model.schedule_for(p.best.partition);
-    schedule.max_power = p.max_power;
+    const tam::Schedule schedule = engine.schedule(p);
     const std::vector<tam::ScheduleViolation> violations =
         tam::check_schedule(schedule);
     for (const tam::ScheduleViolation& v : violations) {

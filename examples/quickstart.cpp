@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/tam/schedule.hpp"
 
@@ -19,28 +19,27 @@ int main() {
   std::printf("SOC %s: %zu digital cores, %zu analog cores\n",
               soc.name().c_str(), soc.digital_count(), soc.analog_count());
 
-  // Describe the planning problem: TAM width and cost weights.
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 32;
-  problem.weights = {0.5, 0.5};  // balance test time and area overhead
+  // Describe the planning problem: one TAM width and the cost weights.
+  plan::FrontierOptions options;
+  options.widths = {32};
+  options.weights = {0.5, 0.5};  // balance test time and area overhead
 
   // Optimize: the Fig.-3 heuristic prunes the sharing-combination space.
-  plan::CostModel model(problem);
-  const plan::HeuristicResult result = plan::optimize_cost_heuristic(model);
+  plan::FrontierEngine engine(soc, options);
+  const plan::FrontierPoint result = engine.run().points.front();
 
   std::printf("\nbest wrapper sharing: %s\n", result.best.label.c_str());
   std::printf("  test time: %llu cycles (C_time = %.1f)\n",
               static_cast<unsigned long long>(result.best.test_time),
               result.best.c_time);
   std::printf("  area overhead C_A = %.1f\n", result.best.c_area);
-  std::printf("  total cost C = %.1f after %d TAM-optimizer runs "
-              "(exhaustive needs %d)\n",
-              result.best.total, result.evaluations,
+  std::printf("  total cost C = %.1f after %d TAM-optimizer runs, %d more "
+              "skipped by the lower bound (exhaustive needs %d)\n",
+              result.best.total, result.evaluations, result.pruned,
               result.total_combinations - 1);
 
   // Materialize and display the winning schedule.
-  const tam::Schedule schedule = model.schedule_for(result.best.partition);
+  const tam::Schedule schedule = engine.schedule(result);
   std::printf("\nschedule (W=%d, makespan %llu cycles, utilization %.1f%%):\n",
               schedule.tam_width,
               static_cast<unsigned long long>(schedule.makespan()),

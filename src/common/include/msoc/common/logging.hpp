@@ -1,9 +1,9 @@
 #pragma once
 // Leveled logging with a process-global threshold.
 //
-// The optimizers log their pruning decisions at kDebug so Table-4 style
-// traces can be inspected without recompiling; default threshold is kWarn
-// to keep bench output clean.
+// The planner logs the sharing combinations it drops at kDebug so
+// Table-4 style traces can be inspected without recompiling; default
+// threshold is kWarn to keep bench output clean.
 
 #include <sstream>
 #include <string>

@@ -10,7 +10,7 @@
 //
 // The preliminary cost (Eq. 3) replaces the expensive C_time with the
 // free analog lower bound:  Prelim = w_T * LB_norm + w_A * C_A.  It is
-// what the Cost_Optimizer heuristic prunes on.
+// what the Cost_Optimizer heuristic picks group representatives by.
 
 #include <map>
 #include <mutex>
@@ -33,7 +33,23 @@ struct CostWeights {
   double area = 0.5;
 
   void validate() const;
+
+  /// Eq. 2: C = w_T * C_time + w_A * C_A.
+  [[nodiscard]] double total(double c_time, double c_area) const {
+    return time * c_time + area * c_area;
+  }
 };
+
+/// Eq. 2's time term: C_time = 100 * T / T_max.
+[[nodiscard]] inline double time_cost(Cycles test_time, Cycles t_max) {
+  return 100.0 * static_cast<double>(test_time) /
+         static_cast<double>(t_max);
+}
+
+/// Eq. 3: Prelim = w_T * LB_norm + w_A * C_A, from quantities known
+/// before any TAM run.
+[[nodiscard]] double preliminary_cost(
+    const CostWeights& weights, const mswrap::SharingEvaluation& evaluation);
 
 /// Everything the planner needs to evaluate combinations on one SOC.
 struct PlanningProblem {
@@ -58,6 +74,16 @@ struct CombinationCost {
   double total = 0.0;      ///< Eq.(2).
 };
 
+/// Eq. 2 for one combination that packed in `test_time` against the
+/// all-share baseline `t_max`; `c_area` is its Eq. 1 area cost, which
+/// callers already hold.  Throws LogicError when the combination packed
+/// worse than the baseline: any all-share schedule is feasible for every
+/// partition (it satisfies a superset of the serialization constraints),
+/// and the packer guarantees as much via its serialized fallback.
+[[nodiscard]] CombinationCost combination_cost(
+    const CostWeights& weights, const mswrap::Partition& partition,
+    std::string label, Cycles test_time, Cycles t_max, double c_area);
+
 /// Evaluates combinations against one PlanningProblem, memoizing the
 /// expensive TAM-optimizer runs and the T_max baseline.
 ///
@@ -75,10 +101,6 @@ class CostModel {
   /// construction — it is the C_time normalization every evaluation
   /// needs).
   [[nodiscard]] Cycles t_max() const noexcept { return t_max_; }
-
-  /// Eq. 3 preliminary cost from statically-known quantities.
-  [[nodiscard]] double preliminary_cost(
-      const mswrap::SharingEvaluation& evaluation) const;
 
   /// Full Eq. 2 evaluation (runs the TAM optimizer; memoized).
   [[nodiscard]] CombinationCost evaluate(const mswrap::Partition& partition);

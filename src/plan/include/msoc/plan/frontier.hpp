@@ -1,11 +1,12 @@
 #pragma once
 // Pareto-frontier planning engine: the full (TAM width, test time,
-// Eq. 2 cost) curve for one SOC in one call, instead of independent
-// per-width Cost_Optimizer runs.
+// Eq. 2 cost) curve for one SOC in one call, and the library's only
+// implementation of the paper's Fig. 3 Cost_Optimizer.  A single plan
+// is a one-width frontier; so is each cell of the Table 4 report.
 //
 // Every deployment question around the paper's Tables 3-4 is a curve —
-// how do test time and cost move as the width budget moves — and the
-// per-width optimizer re-derives everything from scratch at each
+// how do test time and cost move as the width budget moves — and
+// solving each width independently would re-derive everything at every
 // width.  The engine is the assembly stage of the staged pipeline
 // (msoc/plan/pipeline.hpp, docs/architecture.md): stage 1 enumerates
 // the partition space once per SOC (PartitionSpace), stage 2 resolves
@@ -35,12 +36,13 @@
 // T_max(W) + w_A * C_A, every term known without a TAM run — strictly
 // exceeds the cheapest evaluated representative.  The bound is a true
 // lower bound on the Eq. 2 total and the winner is selected by strict
-// <, so pruning can never change the reported optimum: per-width
-// results are bit-identical to optimize_cost_heuristic /
-// optimize_exhaustive, just cheaper.  Evaluations fan out over the
-// common ThreadPool; all pruning thresholds are fixed before the
-// fan-out, so results (including evaluation counts) are bit-identical
-// for every jobs value.
+// <, so pruning can never change the reported optimum: each point's
+// winner is the one plain Fig. 3 would pick (the test suites keep the
+// unpruned reduction as a reference oracle), and `evaluations +
+// pruned` is the paper's N.  Evaluations fan out over the common
+// ThreadPool; all pruning thresholds are fixed before the fan-out, so
+// results (including evaluation counts) are bit-identical for every
+// jobs value.
 
 #include <optional>
 #include <string>
@@ -51,6 +53,7 @@
 #include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/soc.hpp"
 #include "msoc/tam/packing.hpp"
+#include "msoc/tam/schedule.hpp"
 
 namespace msoc::plan {
 
@@ -90,6 +93,10 @@ struct FrontierOptions {
   tam::PackingOptions packing;
 };
 
+/// The paper's %R: (N_tot - N) / N_tot * 100; 0 for an empty space.
+[[nodiscard]] double evaluation_reduction_percent(int evaluations,
+                                                  int total_combinations);
+
 /// One (width, power) budget cell's outcome.
 struct FrontierPoint {
   int tam_width = 0;
@@ -102,7 +109,9 @@ struct FrontierPoint {
   double window_limit = 0.0;
   CombinationCost best;
   Cycles t_max = 0;
-  int evaluations = 0;        ///< TAM-optimizer runs at this width.
+  /// TAM-optimizer runs at this width; the runs the lower bound
+  /// skipped are in `pruned`, so evaluations + pruned is Fig. 3's N.
+  int evaluations = 0;
   int total_combinations = 0;
   int cache_hits = 0;         ///< Combinations answered from the cache.
   int reused = 0;             ///< Combinations spliced from the replan
@@ -176,6 +185,11 @@ class FrontierEngine {
   /// the engine has no cache or the baseline store has no inventory
   /// (no v4 store for that digest, or one without an inventory).
   [[nodiscard]] FrontierResult replan(const std::string& baseline_digest);
+
+  /// The winning schedule behind a feasible point of this engine's
+  /// result: its best partition packed under the point's width, power
+  /// budget and window.
+  [[nodiscard]] tam::Schedule schedule(const FrontierPoint& point) const;
 
   [[nodiscard]] const std::string& digest() const noexcept {
     return digest_;

@@ -20,7 +20,9 @@
 //
 //   Stage 3 — frontier assembly (frontier.cpp): Fig. 3 elimination,
 //   lower-bound pruning, winner reduction, and per-rung Pareto /
-//   monotonicity marking over the resolved makespans.
+//   monotonicity marking over the resolved makespans.  This is the
+//   library's only Fig. 3 reduction: single plans, sweeps and the
+//   Table 4 report all run it, a single plan as a one-width frontier.
 //
 // The stages share no hidden state: stage 2 sees stage 1 only through
 // the cells' cache keys, which is exactly why stage 2 results survive
@@ -48,7 +50,7 @@ struct StaleCacheError {};
 /// precomputation (stage 1 product).
 struct PartitionCell {
   mswrap::SharingEvaluation evaluation;
-  double prelim = 0.0;    ///< Eq. 3, matches CostModel::preliminary_cost.
+  double prelim = 0.0;    ///< Eq. 3 (preliminary_cost).
   Cycles analog_lb = 0;   ///< Busiest-wrapper usage (width-independent).
   std::string key_full;     ///< partition_key over full core digests.
   std::string key_packing;  ///< ... over power-stripped digests.

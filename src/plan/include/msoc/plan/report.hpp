@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "msoc/plan/cost_model.hpp"
-#include "msoc/plan/optimizer.hpp"
 
 namespace msoc::plan {
 
@@ -68,6 +67,8 @@ struct Table4Row {
   int exhaustive_evaluations = 0;
   std::string exhaustive_label;
   double heuristic_cost = 0.0;
+  /// Fig. 3's N: the engine's evaluations plus the members its lower
+  /// bound pruned.
   int heuristic_evaluations = 0;
   std::string heuristic_label;
   double evaluation_reduction = 0.0;
@@ -86,6 +87,9 @@ struct Table4 {
   [[nodiscard]] std::string render() const;
 };
 
+/// One heuristic and one exhaustive FrontierEngine per weight set, each
+/// across every width, under `base`'s area model, sharing policy,
+/// enumeration and packing options.
 [[nodiscard]] Table4 make_table4(const soc::Soc& soc,
                                  const std::vector<int>& widths,
                                  const std::vector<CostWeights>& weight_sets,

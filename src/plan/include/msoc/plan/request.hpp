@@ -4,8 +4,8 @@
 // `msoc_plan` builds a PlanRequest from its command line, the planning
 // daemon decodes one from each msoc-rpc-v1 envelope (docs/formats.md),
 // and both hand it to execute() — the only code that maps a request
-// onto the frontier engine, the sweep runner or the single-width
-// optimizers and renders the result document.  In-process, daemon and
+// onto the frontier engine (a single plan is a one-width frontier) or
+// the sweep runner and renders the result document.  In-process, daemon and
 // fallback documents are therefore byte-identical by construction:
 // one function writes them.
 //

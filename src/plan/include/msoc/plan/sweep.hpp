@@ -13,12 +13,10 @@
 #include <vector>
 
 #include "msoc/common/units.hpp"
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/soc.hpp"
 
 namespace msoc::plan {
-
-class ResultCache;
 
 /// What to sweep.  SOCs are owned by value so configs built from the
 /// embedded benchmarks or from loaded .soc files are self-contained.
@@ -105,7 +103,8 @@ struct SweepResult {
   /// weights (a single default power rung keeps the pre-power order).
   std::vector<SweepRow> rows;
   double total_wall_ms = 0.0;  ///< Whole sweep, fan-out included.
-  int jobs = 1;                ///< Worker threads the sweep actually used.
+  /// Worker threads the sweep actually used: sweep_fanout's threads().
+  int jobs = 1;
   bool exhaustive = false;
   double epsilon = 0.0;
   /// Result-cache statistics over this sweep (all zero without a
@@ -130,6 +129,23 @@ struct SweepResult {
   /// replan, and the cache block is all zeros for a cacheless sweep.
   [[nodiscard]] std::string to_json() const;
 };
+
+/// The sweep-schema case for one point of a frontier run: how run_sweep
+/// reports every cell, and how a single plan reports its one cell.
+[[nodiscard]] SweepRow sweep_row(const FrontierResult& frontier,
+                                 const FrontierPoint& point);
+
+/// How run_sweep splits `jobs` (<= 0 = hardware concurrency) over
+/// `series` independent frontier engines: `outer` engines run at once,
+/// and each fans its evaluations out over `inner` threads.  A
+/// sweep-schema document's "jobs" is threads() — a single plan is one
+/// series.
+struct SweepFanout {
+  int outer = 1;
+  int inner = 1;
+  [[nodiscard]] int threads() const { return outer * inner; }
+};
+[[nodiscard]] SweepFanout sweep_fanout(int jobs, std::size_t series);
 
 /// Runs every case of the cross product.  Case order in the result is
 /// deterministic (socs x widths x weights, in config order) regardless of

@@ -42,6 +42,12 @@ int count_dirty(const std::vector<bool>& clean) {
 
 }  // namespace
 
+double evaluation_reduction_percent(int evaluations, int total_combinations) {
+  if (total_combinations == 0) return 0.0;
+  return 100.0 * static_cast<double>(total_combinations - evaluations) /
+         static_cast<double>(total_combinations);
+}
+
 FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
     : soc_(soc), options_(std::move(options)) {
   require(!options_.widths.empty(), "frontier needs at least one TAM width");
@@ -197,24 +203,13 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
       [&]() -> Cycles { return ensure_model().t_max(); },
       space_->all_share.to_string(names_, true), &t_max_from_store);
 
-  // Uniform cost construction for stored and freshly-packed times —
-  // the exact expressions CostModel::evaluate uses, so both paths (and
-  // therefore frontier vs per-width optimizer runs) are bit-identical.
+  // One Eq. 2 construction for stored and freshly-packed times alike,
+  // from the cell's precomputed area cost.
   const auto make_cost = [&](const PartitionCell& cell,
                              Cycles test_time) -> CombinationCost {
-    CombinationCost cost;
-    cost.partition = cell.evaluation.partition;
-    cost.label = cell.evaluation.label;
-    cost.test_time = test_time;
-    check_invariant(cost.test_time <= t_max,
-                    "partition " + cost.label +
-                        " packed worse than the all-share baseline");
-    cost.c_time = 100.0 * static_cast<double>(test_time) /
-                  static_cast<double>(t_max);
-    cost.c_area = cell.evaluation.area_cost;
-    cost.total = options_.weights.time * cost.c_time +
-                 options_.weights.area * cost.c_area;
-    return cost;
+    return combination_cost(options_.weights, cell.evaluation.partition,
+                            cell.evaluation.label, test_time, t_max,
+                            cell.evaluation.area_cost);
   };
 
   // Pruning decisions are made BEFORE each resolve() fan-out, against
@@ -277,10 +272,8 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
       for (const std::size_t index : space_->groups[g].members) {
         if (evaluator.time(index).has_value()) continue;  // representative
         const Cycles time_lb = std::max(cells[index].analog_lb, digital_lb);
-        const double total_lb =
-            options_.weights.time * (100.0 * static_cast<double>(time_lb) /
-                                     static_cast<double>(t_max)) +
-            options_.weights.area * cells[index].evaluation.area_cost;
+        const double total_lb = options_.weights.total(
+            time_cost(time_lb, t_max), cells[index].evaluation.area_cost);
         if (total_lb > min_rep) {
           pruned[index] = true;
           ++point.pruned;
@@ -291,9 +284,9 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     }
     resolve(survivors);
 
-    // Reduce in exactly optimize_cost_heuristic's order: groups in
-    // shape order; an eliminated group's representative still
-    // competes; surviving members in enumeration order.
+    // Reduce in Fig. 3's order: groups in shape order; an eliminated
+    // group's representative still competes (it was evaluated);
+    // surviving members in enumeration order.
     for (std::size_t g = 0; g < space_->groups.size(); ++g) {
       const std::size_t rep = space_->groups[g].representative;
       if (eliminated[g]) {
@@ -366,6 +359,19 @@ FrontierResult FrontierEngine::run_grid() {
 
   result.wall_ms = elapsed_ms(started);
   return result;
+}
+
+tam::Schedule FrontierEngine::schedule(const FrontierPoint& point) const {
+  require(point.ok(), "an infeasible frontier point has no schedule");
+  tam::PackingOptions packing = options_.packing;
+  packing.pareto_hint = pareto_tables_;
+  packing.max_power = point.max_power;
+  packing.window_cycles = point.window_cycles;
+  packing.window_limit = point.window_limit;
+  return tam::schedule_soc(
+      soc_, point.tam_width,
+      mswrap::to_analog_partition(soc_.analog_cores(), point.best.partition),
+      packing);
 }
 
 FrontierResult FrontierEngine::run() {

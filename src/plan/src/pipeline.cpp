@@ -32,8 +32,7 @@ PartitionSpace::PartitionSpace(const soc::Soc& soc,
       continue;
     }
     PartitionCell cell;
-    cell.prelim = weights.time * e.analog_lb_normalized +
-                  weights.area * e.area_cost;
+    cell.prelim = preliminary_cost(weights, e);
     cell.analog_lb = e.analog_lb_cycles;
     cell.key_full =
         partition_key(soc.analog_cores(), e.partition, /*powered=*/true);
@@ -49,9 +48,10 @@ PartitionSpace::PartitionSpace(const soc::Soc& soc,
   all_share_key_packing =
       partition_key(soc.analog_cores(), all_share, /*powered=*/false);
 
-  // Same grouping and representative choice as optimize_cost_heuristic:
-  // shape groups in sorted-shape order, members in enumeration order,
-  // representative = first Eq. 3 minimum.
+  // Fig. 3 lines 1-8: shape groups in sorted-shape order, members in
+  // enumeration order, representative = first Eq. 3 minimum.  Stage 3
+  // reduces in this order, so it fixes how ties between equal-cost
+  // combinations resolve.
   std::map<std::vector<std::size_t>, std::vector<std::size_t>> by_shape;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     by_shape[cells[i].evaluation.partition.shape()].push_back(i);

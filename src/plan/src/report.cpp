@@ -5,6 +5,7 @@
 #include "msoc/common/error.hpp"
 #include "msoc/common/format.hpp"
 #include "msoc/common/table.hpp"
+#include "msoc/plan/frontier.hpp"
 
 namespace msoc::plan {
 
@@ -159,38 +160,60 @@ std::string Table3::render() const {
 }
 
 // ---------------------------------------------------------------- Table 4
+namespace {
+
+/// The point a run solved for `width` (engines solve widths ascending,
+/// Table 4 rows follow the caller's order).
+const FrontierPoint& point_at(const FrontierResult& result, int width) {
+  return *std::find_if(
+      result.points.begin(), result.points.end(),
+      [width](const FrontierPoint& p) { return p.tam_width == width; });
+}
+
+}  // namespace
+
 Table4 make_table4(const soc::Soc& soc, const std::vector<int>& widths,
                    const std::vector<CostWeights>& weight_sets,
                    const PlanningProblem& base) {
   require(!widths.empty() && !weight_sets.empty(),
           "table 4 needs widths and weight sets");
+  FrontierOptions options;
+  options.widths = widths;
+  options.max_powers = {base.packing.max_power};
+  options.area_model = base.area_model;
+  options.policy = base.policy;
+  options.enumeration = base.enumeration;
+  options.packing = base.packing;
+  const auto run = [&](bool exhaustive) {
+    options.exhaustive = exhaustive;
+    FrontierEngine engine(soc, options);
+    FrontierResult result = engine.run();
+    for (const FrontierPoint& point : result.points) {
+      if (!point.ok()) throw InfeasibleError(point.error);
+    }
+    return result;
+  };
+
   Table4 table;
   for (const CostWeights& weights : weight_sets) {
+    options.weights = weights;
+    const FrontierResult exhaustive = run(true);
+    const FrontierResult heuristic = run(false);
     Table4Block block;
     block.weights = weights;
-    for (int width : widths) {
-      PlanningProblem problem = base;
-      problem.soc = &soc;
-      problem.tam_width = width;
-      problem.weights = weights;
-
-      CostModel exhaustive_model(problem);
-      const OptimizationResult exhaustive =
-          optimize_exhaustive(exhaustive_model);
-
-      CostModel heuristic_model(problem);
-      const HeuristicResult heuristic =
-          optimize_cost_heuristic(heuristic_model);
-
+    for (const int width : widths) {
+      const FrontierPoint& exh = point_at(exhaustive, width);
+      const FrontierPoint& heur = point_at(heuristic, width);
       Table4Row row;
       row.tam_width = width;
-      row.exhaustive_cost = exhaustive.best.total;
-      row.exhaustive_evaluations = exhaustive.evaluations;
-      row.exhaustive_label = exhaustive.best.label;
-      row.heuristic_cost = heuristic.best.total;
-      row.heuristic_evaluations = heuristic.evaluations;
-      row.heuristic_label = heuristic.best.label;
-      row.evaluation_reduction = heuristic.evaluation_reduction_percent();
+      row.exhaustive_cost = exh.best.total;
+      row.exhaustive_evaluations = exh.evaluations;
+      row.exhaustive_label = exh.best.label;
+      row.heuristic_cost = heur.best.total;
+      row.heuristic_evaluations = heur.evaluations + heur.pruned;
+      row.heuristic_label = heur.best.label;
+      row.evaluation_reduction = evaluation_reduction_percent(
+          row.heuristic_evaluations, heur.total_combinations);
       block.rows.push_back(std::move(row));
     }
     table.blocks.push_back(std::move(block));

@@ -1,6 +1,5 @@
 #include "msoc/plan/request.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -12,9 +11,7 @@
 #include "msoc/common/format.hpp"
 #include "msoc/common/journal.hpp"
 #include "msoc/common/json.hpp"
-#include "msoc/common/parallel.hpp"
 #include "msoc/common/strings.hpp"
-#include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/tam/packing.hpp"
 
@@ -152,8 +149,9 @@ CostWeights weights_of(const PlanRequest& request) {
   return {w_time, 1.0 - w_time};
 }
 
-void execute_frontier(const PlanRequest& request, const soc::Soc& soc,
-                      ResultCache* cache, PlanResult& out) {
+/// The engine a frontier request runs, and a plan request as one width.
+FrontierOptions frontier_options(const PlanRequest& request,
+                                 ResultCache* cache) {
   FrontierOptions options;
   if (request.widths) options.widths = *request.widths;
   if (request.width) options.widths = {*request.width};
@@ -164,8 +162,12 @@ void execute_frontier(const PlanRequest& request, const soc::Soc& soc,
   options.epsilon = request.epsilon;
   options.jobs = request.jobs;
   options.cache = cache;
+  return options;
+}
 
-  FrontierEngine engine(soc, options);
+void execute_frontier(const PlanRequest& request, const soc::Soc& soc,
+                      ResultCache* cache, PlanResult& out) {
+  FrontierEngine engine(soc, frontier_options(request, cache));
   FrontierResult result = request.replan_from
                               ? engine.replan(*request.replan_from)
                               : engine.run();
@@ -203,66 +205,28 @@ void execute_sweep(const PlanRequest& request, const soc::Soc* soc,
   out.sweep = std::move(result);
 }
 
+/// A single plan: a one-width, cacheless frontier reported as a
+/// one-case sweep, plus the winner's schedule.
 void execute_plan(const PlanRequest& request, const soc::Soc& soc,
                   PlanResult& out) {
-  PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = request.width.value_or(32);
-  problem.weights = weights_of(request);
-  problem.packing = packing_options(request);
-  if (request.max_powers) {
-    problem.packing.max_power = request.max_powers->front();
-  }
-  CostModel model(problem);
-
-  OptimizationResult result;
+  FrontierOptions options = frontier_options(request, nullptr);
+  options.widths = {request.width.value_or(32)};
   const auto started = std::chrono::steady_clock::now();
-  if (request.exhaustive) {
-    result = optimize_exhaustive(model, request.jobs);
-  } else {
-    HeuristicOptions heuristic;
-    heuristic.epsilon = request.epsilon;
-    heuristic.jobs = request.jobs;
-    result = optimize_cost_heuristic(model, heuristic);
-  }
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-  const CombinationCost& best = result.best;
+  FrontierEngine engine(soc, options);
+  const FrontierResult frontier = engine.run();
+  const FrontierPoint& point = frontier.points.front();
+  if (!point.ok()) throw InfeasibleError(point.error);
 
-  // A single plan reports in the sweep schema, as one case.
   SweepResult single;
   single.exhaustive = request.exhaustive;
   single.epsilon = request.epsilon;
-  // Threads actually used, never 0 (the sweep's semantics).
-  single.jobs = std::min(request.jobs <= 0 ? hardware_jobs() : request.jobs,
-                         std::max(result.total_combinations, 1));
-  single.total_wall_ms = wall_ms;
-  SweepRow row;
-  row.soc_name = soc.name();
-  row.tam_width = problem.tam_width;
-  row.max_power = tam::effective_max_power(soc, problem.packing);
-  const soc::PowerWindow window =
-      tam::effective_power_window(soc, problem.packing);
-  if (window.active()) {
-    row.window_cycles = window.cycles;
-    row.window_limit = window.limit;
-  }
-  row.w_time = problem.weights.time;
-  row.algorithm = request.exhaustive ? "exhaustive" : "cost_optimizer";
-  row.best_label = best.label;
-  row.best_total = best.total;
-  row.c_time = best.c_time;
-  row.c_area = best.c_area;
-  row.test_time = best.test_time;
-  row.t_max = model.t_max();
-  row.evaluations = result.evaluations;
-  row.total_combinations = result.total_combinations;
-  row.evaluation_reduction_percent = result.evaluation_reduction_percent();
-  row.wall_ms = wall_ms;
-  single.rows.push_back(std::move(row));
+  single.jobs = sweep_fanout(request.jobs, 1).threads();
+  single.total_wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+  single.rows.push_back(sweep_row(frontier, point));
 
-  tam::Schedule schedule = model.schedule_for(best.partition);
+  tam::Schedule schedule = engine.schedule(point);
   out.document = single.to_json();
   out.csv = tam::schedule_to_csv(schedule);
   out.sweep = std::move(single);

@@ -41,23 +41,50 @@ struct SeriesReplan {
   int dirty_partitions = 0;
 };
 
-SweepRow make_row(const soc::Soc& soc, int tam_width, double max_power,
-                  double w_time, const SweepConfig& config) {
-  SweepRow row;
-  row.soc_name = soc.name();
-  row.tam_width = tam_width;
-  row.max_power = max_power;
-  row.w_time = w_time;
-  row.algorithm = config.exhaustive ? "exhaustive" : "cost_optimizer";
-  return row;
-}
-
 /// The budget a config rung means for one SOC (inherit resolved).
 double resolve_power(double budget, const soc::Soc& soc) {
   return budget < 0.0 ? soc.max_power() : budget;
 }
 
 }  // namespace
+
+SweepRow sweep_row(const FrontierResult& frontier,
+                   const FrontierPoint& point) {
+  SweepRow row;
+  row.soc_name = frontier.soc_name;
+  row.tam_width = point.tam_width;
+  row.max_power = point.max_power;
+  row.window_cycles = point.window_cycles;
+  row.window_limit = point.window_limit;
+  row.w_time = frontier.w_time;
+  row.algorithm = frontier.algorithm;
+  row.wall_ms = point.wall_ms;
+  if (!point.ok()) {
+    row.error = point.error;
+    return row;
+  }
+  row.best_label = point.best.label;
+  row.best_total = point.best.total;
+  row.c_time = point.best.c_time;
+  row.c_area = point.best.c_area;
+  row.test_time = point.best.test_time;
+  row.t_max = point.t_max;
+  row.evaluations = point.evaluations;
+  row.total_combinations = point.total_combinations;
+  row.reused = point.reused;
+  row.evaluation_reduction_percent = evaluation_reduction_percent(
+      point.evaluations, point.total_combinations);
+  return row;
+}
+
+SweepFanout sweep_fanout(int jobs, std::size_t series) {
+  const int resolved = jobs <= 0 ? hardware_jobs() : jobs;
+  SweepFanout fanout;
+  fanout.outer = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(resolved), series));
+  fanout.inner = std::max(1, resolved / std::max(fanout.outer, 1));
+  return fanout;
+}
 
 std::size_t SweepConfig::case_count() const {
   return socs.size() * tam_widths.size() * max_powers.size() *
@@ -96,19 +123,15 @@ SweepResult run_sweep(const SweepConfig& config) {
   SweepResult result;
   result.exhaustive = config.exhaustive;
   result.epsilon = config.epsilon;
-  const int resolved_jobs =
-      config.jobs <= 0 ? hardware_jobs() : config.jobs;
-  result.jobs = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolved_jobs), config.case_count()));
   result.rows.resize(config.case_count());
 
   // Thread budget: series fan out over the pool (they are fully
   // independent), and each series' engine re-uses the leftover budget
   // for its per-width evaluation fan-out.  Both levels are
   // deterministic, so the split never changes results.
-  const int outer = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolved_jobs), series.size()));
-  const int inner = std::max(1, resolved_jobs / std::max(outer, 1));
+  const SweepFanout fanout = sweep_fanout(config.jobs, series.size());
+  result.jobs = fanout.threads();
+  const int inner = fanout.inner;
 
   // The persistent cache is opened up front (one file per SOC digest)
   // so worker threads only ever touch the loaded snapshot.  Lookups
@@ -153,7 +176,7 @@ SweepResult run_sweep(const SweepConfig& config) {
   // are disjoint per series, so only these need dedicated slots).
   std::vector<SeriesReplan> series_replan(series.size());
 
-  ThreadPool pool(outer);
+  ThreadPool pool(fanout.outer);
   for (std::size_t series_index = 0; series_index < series.size();
        ++series_index) {
     const Series& s = series[series_index];
@@ -172,10 +195,13 @@ SweepResult run_sweep(const SweepConfig& config) {
       const auto fill_series_error = [&](const std::string& what) {
         for (std::size_t w = 0; w < config.tam_widths.size(); ++w) {
           for (std::size_t p = 0; p < config.max_powers.size(); ++p) {
-            SweepRow row =
-                make_row(soc, config.tam_widths[w],
-                         resolve_power(config.max_powers[p], soc), w_time,
-                         config);
+            SweepRow row;
+            row.soc_name = soc.name();
+            row.tam_width = config.tam_widths[w];
+            row.max_power = resolve_power(config.max_powers[p], soc);
+            row.w_time = w_time;
+            row.algorithm =
+                config.exhaustive ? "exhaustive" : "cost_optimizer";
             row.error = what;
             result.rows[row_index(w, p)] = std::move(row);
           }
@@ -210,32 +236,8 @@ SweepResult run_sweep(const SweepConfig& config) {
         for (std::size_t w = 0; w < config.tam_widths.size(); ++w) {
           for (std::size_t p = 0; p < config.max_powers.size(); ++p) {
             const double budget = resolve_power(config.max_powers[p], soc);
-            const FrontierPoint& point =
-                *by_cell.at({config.tam_widths[w], budget});
-            SweepRow row = make_row(soc, config.tam_widths[w], budget,
-                                    w_time, config);
-            row.window_cycles = point.window_cycles;
-            row.window_limit = point.window_limit;
-            row.wall_ms = point.wall_ms;
-            if (point.ok()) {
-              row.best_label = point.best.label;
-              row.best_total = point.best.total;
-              row.c_time = point.best.c_time;
-              row.c_area = point.best.c_area;
-              row.test_time = point.best.test_time;
-              row.t_max = point.t_max;
-              row.evaluations = point.evaluations;
-              row.total_combinations = point.total_combinations;
-              row.reused = point.reused;
-              OptimizationResult reduction;
-              reduction.evaluations = point.evaluations;
-              reduction.total_combinations = point.total_combinations;
-              row.evaluation_reduction_percent =
-                  reduction.evaluation_reduction_percent();
-            } else {
-              row.error = point.error;
-            }
-            result.rows[row_index(w, p)] = std::move(row);
+            result.rows[row_index(w, p)] = sweep_row(
+                frontier, *by_cell.at({config.tam_widths[w], budget}));
           }
         }
       } catch (const InfeasibleError& e) {

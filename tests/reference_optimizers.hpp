@@ -1,29 +1,49 @@
-#include "msoc/plan/optimizer.hpp"
+#pragma once
+// Reference oracle for the Fig. 3 reduction: the standalone exhaustive
+// and Cost_Optimizer loops the library once shipped, kept for the
+// suites that check plan::FrontierEngine against them.  Both run
+// straight over a CostModel — no stage-1 cache, no lower-bound
+// pruning — so they are an independent restatement of the paper's
+// algorithm, not a second copy of the engine's.
+//
+// Exhaustive: run the TAM optimizer for every sharing combination and
+// take the minimum of Eq. 2.
+//
+// Cost_Optimizer:
+//   1. Group combinations by degree of sharing (partition shape).
+//   2. Compute the Eq. 3 preliminary cost of every combination.
+//   3. Evaluate only the best preliminary element of each group.
+//   4. Eliminate every group whose representative costs more than the
+//      cheapest representative by more than epsilon.
+//   5. Fully evaluate surviving groups; return the overall minimum.
+//
+// Evaluation counting matches the paper: the all-share combination is
+// free (it is the C_time normalization baseline), so N is the number of
+// *additional* TAM-optimizer runs.
 
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <sstream>
+#include <vector>
 
 #include "msoc/common/error.hpp"
-#include "msoc/common/logging.hpp"
 #include "msoc/common/parallel.hpp"
+#include "msoc/plan/cost_model.hpp"
 
-namespace msoc::plan {
+namespace msoc::plan::reference {
 
-namespace {
+struct OptimizationResult {
+  CombinationCost best;
+  int evaluations = 0;         ///< TAM-optimizer runs (paper's N).
+  int total_combinations = 0;  ///< Paper's N_tot.
+};
 
-std::string shape_label(const mswrap::Partition& p) {
-  std::ostringstream os;
-  const std::vector<std::size_t> shape = p.shape();
-  for (std::size_t i = 0; i < shape.size(); ++i) {
-    if (i > 0) os << '+';
-    os << shape[i];
-  }
-  return os.str();
-}
+struct HeuristicOptions {
+  double epsilon = 0.0;  ///< Fig. 3 elimination slack.
+  int jobs = 1;          ///< TAM-evaluation threads (<= 0 = all cores).
+};
 
-std::vector<mswrap::SharingEvaluation> feasible_combinations(
+inline std::vector<mswrap::SharingEvaluation> feasible_combinations(
     CostModel& model) {
   const PlanningProblem& problem = model.problem();
   std::vector<mswrap::SharingEvaluation> all = mswrap::evaluate_combinations(
@@ -32,33 +52,22 @@ std::vector<mswrap::SharingEvaluation> feasible_combinations(
   std::vector<mswrap::SharingEvaluation> feasible;
   feasible.reserve(all.size());
   for (mswrap::SharingEvaluation& e : all) {
-    if (!e.feasible) {
-      log_debug("combination ", e.label, " dropped: sharing policy");
-      continue;
-    }
-    feasible.push_back(std::move(e));
+    if (e.feasible) feasible.push_back(std::move(e));
   }
   require(!feasible.empty(), "no feasible sharing combination");
   return feasible;
 }
 
-}  // namespace
-
-double OptimizationResult::evaluation_reduction_percent() const {
-  if (total_combinations == 0) return 0.0;
-  return 100.0 * static_cast<double>(total_combinations - evaluations) /
-         static_cast<double>(total_combinations);
-}
-
-OptimizationResult optimize_exhaustive(CostModel& model, int jobs) {
+/// Evaluates every combination; the minimum is reduced serially in
+/// enumeration order, so the result is identical for every jobs value.
+inline OptimizationResult optimize_exhaustive(CostModel& model,
+                                              int jobs = 1) {
   const std::vector<mswrap::SharingEvaluation> combos =
       feasible_combinations(model);
 
   OptimizationResult result;
   result.total_combinations = static_cast<int>(combos.size());
 
-  // Fan out the TAM runs, then reduce serially in enumeration order so
-  // the winner (and its tie-breaking) matches the serial loop exactly.
   std::vector<CombinationCost> costs(combos.size());
   parallel_for(combos.size(), jobs, [&](std::size_t i) {
     costs[i] = model.evaluate(combos[i].partition);
@@ -74,8 +83,9 @@ OptimizationResult optimize_exhaustive(CostModel& model, int jobs) {
   return result;
 }
 
-HeuristicResult optimize_cost_heuristic(CostModel& model,
-                                        const HeuristicOptions& options) {
+/// The Fig. 3 Cost_Optimizer heuristic, without lower-bound pruning.
+inline OptimizationResult optimize_cost_heuristic(
+    CostModel& model, const HeuristicOptions& options = {}) {
   require(options.epsilon >= 0.0, "epsilon must be non-negative");
   const std::vector<mswrap::SharingEvaluation> combos =
       feasible_combinations(model);
@@ -88,7 +98,7 @@ HeuristicResult optimize_cost_heuristic(CostModel& model,
     groups[e.partition.shape()].push_back(&e);
   }
 
-  HeuristicResult result;
+  OptimizationResult result;
   result.total_combinations = static_cast<int>(combos.size());
 
   // --- Lines 2-8: best preliminary-cost element per group. ---
@@ -104,7 +114,7 @@ HeuristicResult optimize_cost_heuristic(CostModel& model,
     state.members = members;
     double best_prelim = std::numeric_limits<double>::infinity();
     for (const mswrap::SharingEvaluation* e : members) {
-      const double prelim = model.preliminary_cost(*e);
+      const double prelim = preliminary_cost(model.problem().weights, *e);
       if (prelim < best_prelim) {
         best_prelim = prelim;
         state.representative = e;
@@ -126,19 +136,12 @@ HeuristicResult optimize_cost_heuristic(CostModel& model,
   // --- Lines 14-17: eliminate groups beyond epsilon of the winner. ---
   for (GroupState& state : states) {
     state.eliminated = state.rep_cost.total > min_rep_cost + options.epsilon;
-    result.diagnostics.group_shapes.push_back(
-        shape_label(state.representative->partition));
-    result.diagnostics.representative_costs.push_back(state.rep_cost.total);
-    result.diagnostics.eliminated.push_back(state.eliminated);
-    log_debug("group ", shape_label(state.representative->partition),
-              " rep cost ", state.rep_cost.total,
-              state.eliminated ? " (eliminated)" : " (survives)");
   }
 
   // --- Lines 18-19: fully evaluate surviving groups, return the best. ---
-  // Fan out every surviving member's TAM run, then reduce serially in the
-  // same (group, member) order the serial loop used, so ties resolve
-  // identically for every jobs value.
+  // Fan out every surviving member's TAM run, then reduce serially in
+  // (group, member) order, so ties resolve identically for every jobs
+  // value.
   std::vector<const mswrap::SharingEvaluation*> survivors;
   for (const GroupState& state : states) {
     if (state.eliminated) continue;
@@ -174,4 +177,4 @@ HeuristicResult optimize_cost_heuristic(CostModel& model,
   return result;
 }
 
-}  // namespace msoc::plan
+}  // namespace msoc::plan::reference

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "msoc/common/error.hpp"
+#include "msoc/plan/pipeline.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
 namespace msoc::plan {
@@ -94,14 +95,24 @@ TEST(CostModelEval, AllShareIsFree) {
   EXPECT_EQ(model.tam_runs(), 0);
 }
 
-TEST(CostModelEval, PreliminaryCostUsesEq3) {
+TEST(CostModelEval, PartitionCellsCarryEq3) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem_for(soc, 32, 0.25);
-  CostModel model(p);
+  const CostWeights weights{0.25, 0.75};
+  const PartitionSpace space(soc, weights, mswrap::WrapperAreaModel{},
+                             mswrap::SharingPolicy{},
+                             mswrap::EnumerationOptions{});
+  ASSERT_FALSE(space.cells.empty());
+  for (const PartitionCell& cell : space.cells) {
+    EXPECT_EQ(cell.prelim,
+              0.25 * cell.evaluation.analog_lb_normalized +
+                  0.75 * cell.evaluation.area_cost)
+        << cell.evaluation.label;
+  }
   mswrap::SharingEvaluation e;
   e.analog_lb_normalized = 40.0;
   e.area_cost = 80.0;
-  EXPECT_NEAR(model.preliminary_cost(e), 0.25 * 40.0 + 0.75 * 80.0, 1e-12);
+  EXPECT_NEAR(preliminary_cost(weights, e), 0.25 * 40.0 + 0.75 * 80.0,
+              1e-12);
 }
 
 TEST(CostModelEval, ScheduleForIsValid) {

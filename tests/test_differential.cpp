@@ -1,16 +1,20 @@
 // Randomized differential-testing harness.
 //
 // Drives make_synthetic_soc over a seed ladder and cross-checks the
-// three optimizer entry points against each other on every SOC, with
-// and without a power budget:
+// FrontierEngine against the reference optimizers
+// (reference_optimizers.hpp) on every SOC, with and without a power
+// budget:
 //
-//   * optimize_exhaustive is the ground truth: the heuristic may never
-//     beat it (it can only tie or lose);
+//   * the reference exhaustive search is the ground truth: the
+//     heuristic may never beat it (it can only tie or lose);
 //   * FrontierEngine per-width results must be bit-identical to the
-//     standalone optimizers — same winner, same test time, same total,
-//     same T_max — in both heuristic and exhaustive modes;
-//   * every schedule the winners imply must survive tam::check_schedule
-//     (TAM capacity, wrapper serialization, instantaneous power).
+//     reference — same winner, same test time, same total, same T_max —
+//     in both heuristic and exhaustive modes, and the engine's
+//     evaluations + pruned must be the reference heuristic's N (the
+//     count Table 4 prints);
+//   * every schedule the winners imply (FrontierEngine::schedule) must
+//     survive tam::check_schedule (TAM capacity, wrapper serialization,
+//     instantaneous power).
 //
 // The power variant generates per-test powers and a budget at a seeded
 // multiple of the peak single-test power, so the constraint genuinely
@@ -25,10 +29,10 @@
 #include <vector>
 
 #include "msoc/plan/frontier.hpp"
-#include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/digest.hpp"
 #include "msoc/tam/schedule.hpp"
+#include "reference_optimizers.hpp"
 
 namespace msoc::plan {
 namespace {
@@ -76,29 +80,30 @@ void expect_same_cost(const CombinationCost& frontier,
   EXPECT_EQ(frontier.c_area, standalone.c_area) << what;
 }
 
-void expect_valid_schedule(CostModel& model, const CombinationCost& best,
-                           const std::string& what) {
-  const tam::Schedule schedule = model.schedule_for(best.partition);
+/// The winner's schedule re-walks cleanly and has the reported makespan.
+tam::Schedule expect_valid_schedule(const FrontierEngine& engine,
+                                    const FrontierPoint& point,
+                                    const std::string& what) {
+  const tam::Schedule schedule = engine.schedule(point);
   const std::vector<tam::ScheduleViolation> violations =
       tam::check_schedule(schedule);
   EXPECT_TRUE(violations.empty())
       << what << ": " << (violations.empty() ? "" : violations[0].message);
-  EXPECT_EQ(schedule.makespan(), best.test_time) << what;
+  EXPECT_EQ(schedule.makespan(), point.best.test_time) << what;
+  return schedule;
 }
 
-void run_differential(std::uint64_t seed, bool with_power) {
-  const soc::Soc soc = synthetic(seed, with_power);
-  const int width = width_for(seed);
-  const std::string what =
-      soc.name() + (with_power ? "+power" : "") + " @W" + std::to_string(width);
-
-  // --- Standalone optimizers. ---
+/// One-width heuristic and exhaustive engines against the reference
+/// optimizers: bit-identical winners, the reference N, valid schedules.
+/// Returns the heuristic winner's schedule.
+tam::Schedule expect_engine_matches_reference(const soc::Soc& soc, int width,
+                                              const std::string& what) {
   CostModel exhaustive_model(problem_for(soc, width));
-  const OptimizationResult exhaustive =
-      optimize_exhaustive(exhaustive_model);
+  const reference::OptimizationResult exhaustive =
+      reference::optimize_exhaustive(exhaustive_model);
   CostModel heuristic_model(problem_for(soc, width));
-  const HeuristicResult heuristic =
-      optimize_cost_heuristic(heuristic_model);
+  const reference::OptimizationResult heuristic =
+      reference::optimize_cost_heuristic(heuristic_model);
 
   // The exhaustive optimum is the floor: the Fig. 3 heuristic may tie
   // it (and usually does) but can never beat it.
@@ -107,32 +112,21 @@ void run_differential(std::uint64_t seed, bool with_power) {
   EXPECT_EQ(exhaustive.evaluations, exhaustive.total_combinations - 1)
       << what << " (all-share baseline is free)";
 
-  // Winning schedules re-walk cleanly, power budget included.
-  expect_valid_schedule(exhaustive_model, exhaustive.best,
-                        what + " exhaustive");
-  expect_valid_schedule(heuristic_model, heuristic.best, what + " heuristic");
-  if (with_power) {
-    EXPECT_GT(soc.max_power(), 0.0) << what;
-    const tam::Schedule schedule =
-        heuristic_model.schedule_for(heuristic.best.partition);
-    EXPECT_EQ(schedule.max_power, soc.max_power()) << what;
-    EXPECT_LE(schedule.peak_power(),
-              soc.max_power() * (1.0 + 1e-9) + 1e-9)
-        << what;
-  }
-
   // --- Frontier bit-identity, heuristic mode. ---
   FrontierOptions options;
   options.widths = {width};
   FrontierEngine engine(soc, options);
   const FrontierResult frontier = engine.run();
-  ASSERT_EQ(frontier.points.size(), 1u) << what;
-  ASSERT_TRUE(frontier.points[0].ok()) << what << ": "
-                                       << frontier.points[0].error;
-  expect_same_cost(frontier.points[0].best, heuristic.best,
-                   what + " frontier/heuristic");
-  EXPECT_EQ(frontier.points[0].t_max, heuristic_model.t_max()) << what;
-  EXPECT_EQ(frontier.points[0].max_power, soc.max_power()) << what;
+  EXPECT_EQ(frontier.points.size(), 1u) << what;
+  const FrontierPoint& point = frontier.points.front();
+  EXPECT_TRUE(point.ok()) << what << ": " << point.error;
+  if (!point.ok()) return {};
+  expect_same_cost(point.best, heuristic.best, what + " frontier/heuristic");
+  EXPECT_EQ(point.t_max, heuristic_model.t_max()) << what;
+  EXPECT_EQ(point.max_power, soc.max_power()) << what;
+  EXPECT_EQ(point.total_combinations, heuristic.total_combinations) << what;
+  EXPECT_EQ(point.evaluations + point.pruned, heuristic.evaluations)
+      << what << " (Fig. 3's N)";
 
   // --- Frontier bit-identity, exhaustive mode. ---
   FrontierOptions exhaustive_options;
@@ -140,10 +134,34 @@ void run_differential(std::uint64_t seed, bool with_power) {
   exhaustive_options.exhaustive = true;
   FrontierEngine exhaustive_engine(soc, exhaustive_options);
   const FrontierResult exhaustive_frontier = exhaustive_engine.run();
-  ASSERT_EQ(exhaustive_frontier.points.size(), 1u) << what;
-  ASSERT_TRUE(exhaustive_frontier.points[0].ok()) << what;
-  expect_same_cost(exhaustive_frontier.points[0].best, exhaustive.best,
+  EXPECT_EQ(exhaustive_frontier.points.size(), 1u) << what;
+  const FrontierPoint& exhaustive_point = exhaustive_frontier.points.front();
+  EXPECT_TRUE(exhaustive_point.ok()) << what;
+  if (!exhaustive_point.ok()) return {};
+  expect_same_cost(exhaustive_point.best, exhaustive.best,
                    what + " frontier/exhaustive");
+  EXPECT_EQ(exhaustive_point.evaluations, exhaustive.evaluations) << what;
+
+  // Winning schedules re-walk cleanly, power budget included.
+  (void)expect_valid_schedule(exhaustive_engine, exhaustive_point,
+                              what + " exhaustive");
+  return expect_valid_schedule(engine, point, what + " heuristic");
+}
+
+void run_differential(std::uint64_t seed, bool with_power) {
+  const soc::Soc soc = synthetic(seed, with_power);
+  const int width = width_for(seed);
+  const std::string what =
+      soc.name() + (with_power ? "+power" : "") + " @W" + std::to_string(width);
+  const tam::Schedule schedule =
+      expect_engine_matches_reference(soc, width, what);
+  if (with_power) {
+    EXPECT_GT(soc.max_power(), 0.0) << what;
+    EXPECT_EQ(schedule.max_power, soc.max_power()) << what;
+    EXPECT_LE(schedule.peak_power(),
+              soc.max_power() * (1.0 + 1e-9) + 1e-9)
+        << what;
+  }
 }
 
 TEST(Differential, HeuristicNeverBeatsExhaustiveAcrossSeedLadder) {
@@ -320,22 +338,10 @@ TEST(Differential, WindowedLadderHoldsTheSameContracts) {
     const std::string what = soc.name() + "+window @W" +
                              std::to_string(width);
 
-    CostModel exhaustive_model(problem_for(soc, width));
-    const OptimizationResult exhaustive =
-        optimize_exhaustive(exhaustive_model);
-    CostModel heuristic_model(problem_for(soc, width));
-    const HeuristicResult heuristic =
-        optimize_cost_heuristic(heuristic_model);
-    // The exhaustive floor holds under windowed budgets too.
-    EXPECT_GE(heuristic.best.total, exhaustive.best.total) << what;
-
-    // Winning schedules carry the window and re-walk cleanly.
-    expect_valid_schedule(exhaustive_model, exhaustive.best,
-                          what + " exhaustive");
-    expect_valid_schedule(heuristic_model, heuristic.best,
-                          what + " heuristic");
+    // The exhaustive floor, bit-identity and the reference N hold under
+    // windowed budgets too, and the winning schedules re-walk cleanly.
     const tam::Schedule schedule =
-        heuristic_model.schedule_for(heuristic.best.partition);
+        expect_engine_matches_reference(soc, width, what);
     ASSERT_EQ(schedule.window_cycles, soc.power_window().cycles) << what;
     EXPECT_EQ(schedule.window_limit, soc.power_window().limit) << what;
     // The independent O(n^2) window scan agrees with the packer's

@@ -12,10 +12,10 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/fileio.hpp"
-#include "msoc/plan/optimizer.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/digest.hpp"
 #include "powered_fixtures.hpp"
+#include "reference_optimizers.hpp"
 
 namespace msoc::plan {
 namespace {
@@ -56,10 +56,10 @@ CombinationCost heuristic_best(const soc::Soc& soc, int width,
   problem.weights = {w_time, 1.0 - w_time};
   CostModel model(problem);
   if (t_max_out != nullptr) *t_max_out = model.t_max();
-  if (exhaustive) return optimize_exhaustive(model).best;
-  HeuristicOptions options;
+  if (exhaustive) return reference::optimize_exhaustive(model).best;
+  reference::HeuristicOptions options;
   options.epsilon = epsilon;
-  return optimize_cost_heuristic(model, options).best;
+  return reference::optimize_cost_heuristic(model, options).best;
 }
 
 TEST(Frontier, BitIdenticalToPerWidthHeuristic) {

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "msoc/analog/experiment.hpp"
-#include "msoc/plan/optimizer.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/plan/report.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/itc02.hpp"
@@ -14,42 +14,43 @@
 namespace msoc {
 namespace {
 
+/// One width through the engine a single plan runs.
+plan::FrontierOptions one_width(int width, bool exhaustive = false) {
+  plan::FrontierOptions options;
+  options.widths = {width};
+  options.exhaustive = exhaustive;
+  return options;
+}
+
 TEST(Integration, FullPipelineOnP93791m) {
   // 1. Load the benchmark through the file format (round trip).
   const soc::Soc soc =
       soc::parse_soc_string(soc::write_soc_string(soc::make_p93791m()));
 
   // 2. Optimize at W=32 with balanced weights.
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 32;
-  plan::CostModel model(problem);
-  const plan::HeuristicResult result = plan::optimize_cost_heuristic(model);
+  plan::FrontierEngine engine(soc, one_width(32));
+  const plan::FrontierPoint point = engine.run().points.front();
+  ASSERT_TRUE(point.ok()) << point.error;
 
   // 3. The winning plan's schedule must replay cleanly.
-  const tam::Schedule schedule = model.schedule_for(result.best.partition);
+  const tam::Schedule schedule = engine.schedule(point);
   const testsim::ReplayReport report = testsim::replay(soc, schedule);
   EXPECT_TRUE(report.clean()) << report.summary();
+  EXPECT_EQ(schedule.makespan(), point.best.test_time);
 
   // 4. Cost structure sanity.
-  EXPECT_GT(result.best.total, 0.0);
-  EXPECT_LE(result.best.c_time, 100.0 + 1e-9);
-  EXPECT_LE(result.best.c_area, 100.0 + 1e-9);
-  EXPECT_LT(result.evaluations, 26);
+  EXPECT_GT(point.best.total, 0.0);
+  EXPECT_LE(point.best.c_time, 100.0 + 1e-9);
+  EXPECT_LE(point.best.c_area, 100.0 + 1e-9);
+  EXPECT_LT(point.evaluations + point.pruned, 26);
 }
 
 TEST(Integration, HeuristicMatchesExhaustiveAtWidth64) {
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 64;
-
-  plan::CostModel em(problem);
-  const plan::OptimizationResult exhaustive = plan::optimize_exhaustive(em);
-  plan::CostModel hm(problem);
-  const plan::HeuristicResult heuristic = plan::optimize_cost_heuristic(hm);
-
-  EXPECT_LE(heuristic.best.total, exhaustive.best.total * 1.05);
+  plan::FrontierEngine exhaustive(soc, one_width(64, true));
+  plan::FrontierEngine heuristic(soc, one_width(64));
+  EXPECT_LE(heuristic.run().points.front().best.total,
+            exhaustive.run().points.front().best.total * 1.05);
 }
 
 TEST(Integration, MixedSignalD695Variant) {
@@ -60,17 +61,15 @@ TEST(Integration, MixedSignalD695Variant) {
   soc.add_analog(analog[4]);  // E: amplifier
   soc.set_name("d695m");
 
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 16;
-  plan::CostModel model(problem);
-  const plan::OptimizationResult result = plan::optimize_exhaustive(model);
+  plan::FrontierEngine engine(soc, one_width(16, true));
+  const plan::FrontierPoint point = engine.run().points.front();
+  ASSERT_TRUE(point.ok()) << point.error;
 
-  const tam::Schedule schedule = model.schedule_for(result.best.partition);
+  const tam::Schedule schedule = engine.schedule(point);
   EXPECT_TRUE(testsim::replay(soc, schedule).clean());
   // Two distinct cores: share or not — 1 combination each... the share
   // combination plus standalone = C and E can only form {C,E} or {C}{E}.
-  EXPECT_EQ(result.total_combinations, 1);  // only {C,E} (no-share excluded)
+  EXPECT_EQ(point.total_combinations, 1);  // only {C,E} (no-share excluded)
 }
 
 TEST(Integration, Table3AllShareColumnIs100Everywhere) {
@@ -128,16 +127,14 @@ TEST(Integration, BasebandTestsAreWrapperStreamable) {
 
 TEST(Integration, DeterministicEndToEnd) {
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 48;
-  plan::CostModel m1(problem);
-  plan::CostModel m2(problem);
-  const plan::HeuristicResult r1 = plan::optimize_cost_heuristic(m1);
-  const plan::HeuristicResult r2 = plan::optimize_cost_heuristic(m2);
+  plan::FrontierEngine e1(soc, one_width(48));
+  plan::FrontierEngine e2(soc, one_width(48));
+  const plan::FrontierPoint r1 = e1.run().points.front();
+  const plan::FrontierPoint r2 = e2.run().points.front();
   EXPECT_EQ(r1.best.label, r2.best.label);
   EXPECT_DOUBLE_EQ(r1.best.total, r2.best.total);
   EXPECT_EQ(r1.evaluations, r2.evaluations);
+  EXPECT_EQ(r1.pruned, r2.pruned);
 }
 
 }  // namespace

@@ -1,43 +1,65 @@
-#include "msoc/plan/optimizer.hpp"
+// The Fig. 3 Cost_Optimizer and the exhaustive baseline, as a single
+// plan runs them: a one-width FrontierEngine.
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <string>
 
 #include "msoc/common/error.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
 namespace msoc::plan {
 namespace {
 
-PlanningProblem problem(const soc::Soc& soc, int width, double w_time) {
-  PlanningProblem p;
-  p.soc = &soc;
-  p.tam_width = width;
-  p.weights.time = w_time;
-  p.weights.area = 1.0 - w_time;
-  return p;
+FrontierOptions one_width(int width, double w_time) {
+  FrontierOptions options;
+  options.widths = {width};
+  options.weights = {w_time, 1.0 - w_time};
+  return options;
+}
+
+FrontierPoint solve(const soc::Soc& soc, const FrontierOptions& options) {
+  FrontierEngine engine(soc, options);
+  FrontierResult result = engine.run();
+  EXPECT_EQ(result.points.size(), 1u);
+  EXPECT_TRUE(result.points.front().ok()) << result.points.front().error;
+  return result.points.front();
+}
+
+FrontierPoint exhaustive(const soc::Soc& soc, int width, double w_time,
+                         int jobs = 1) {
+  FrontierOptions options = one_width(width, w_time);
+  options.exhaustive = true;
+  options.jobs = jobs;
+  return solve(soc, options);
+}
+
+FrontierPoint heuristic(const soc::Soc& soc, int width, double w_time,
+                        double epsilon = 0.0, int jobs = 1) {
+  FrontierOptions options = one_width(width, w_time);
+  options.epsilon = epsilon;
+  options.jobs = jobs;
+  return solve(soc, options);
 }
 
 TEST(Exhaustive, Evaluates26Combinations) {
-  const soc::Soc soc = soc::make_p93791m();
-  CostModel model(problem(soc, 32, 0.5));
-  const OptimizationResult r = optimize_exhaustive(model);
+  const FrontierPoint r = exhaustive(soc::make_p93791m(), 32, 0.5);
   EXPECT_EQ(r.total_combinations, 26);
   // 25 paid runs: all-share is the free baseline.
   EXPECT_EQ(r.evaluations, 25);
+  EXPECT_EQ(r.pruned, 0);
   EXPECT_GT(r.best.total, 0.0);
 }
 
 TEST(Heuristic, FarFewerEvaluations) {
-  const soc::Soc soc = soc::make_p93791m();
-  CostModel model(problem(soc, 32, 0.5));
-  const HeuristicResult r = optimize_cost_heuristic(model);
+  const FrontierPoint r = heuristic(soc::make_p93791m(), 32, 0.5);
   EXPECT_EQ(r.total_combinations, 26);
-  EXPECT_LT(r.evaluations, 26);
+  const int n = r.evaluations + r.pruned;  // Fig. 3's N
+  EXPECT_LT(n, 26);
   // At least the 4 paid group representatives must be evaluated.
   EXPECT_GE(r.evaluations, 4);
-  EXPECT_GE(r.evaluation_reduction_percent(), 30.0);
+  EXPECT_GE(evaluation_reduction_percent(n, r.total_combinations), 30.0);
 }
 
 class WeightSweep : public ::testing::TestWithParam<double> {};
@@ -45,72 +67,44 @@ class WeightSweep : public ::testing::TestWithParam<double> {};
 TEST_P(WeightSweep, HeuristicNearOptimal) {
   const double w_time = GetParam();
   const soc::Soc soc = soc::make_p93791m();
-
-  CostModel exhaustive_model(problem(soc, 32, w_time));
-  const OptimizationResult best = optimize_exhaustive(exhaustive_model);
-
-  CostModel heuristic_model(problem(soc, 32, w_time));
-  const HeuristicResult h = optimize_cost_heuristic(heuristic_model);
+  const FrontierPoint best = exhaustive(soc, 32, w_time);
+  const FrontierPoint h = heuristic(soc, 32, w_time);
 
   // The paper reports optimality in all but one case; allow a modest
   // gap (the packer's schedule noise can flip near-tied representatives).
   EXPECT_LE(h.best.total, best.best.total * 1.10 + 1e-9);
-  EXPECT_LE(h.evaluations, best.evaluations);
+  EXPECT_LE(h.evaluations + h.pruned, best.evaluations);
 }
 
 INSTANTIATE_TEST_SUITE_P(Weights, WeightSweep,
                          ::testing::Values(0.25, 0.5, 0.75));
 
-TEST(Heuristic, DiagnosticsCoverFiveShapeGroups) {
-  const soc::Soc soc = soc::make_p93791m();
-  CostModel model(problem(soc, 32, 0.5));
-  const HeuristicResult r = optimize_cost_heuristic(model);
-  EXPECT_EQ(r.diagnostics.group_shapes.size(), 5u);
-  EXPECT_EQ(r.diagnostics.representative_costs.size(), 5u);
-  EXPECT_EQ(r.diagnostics.eliminated.size(), 5u);
-  // At least one group must survive.
-  bool survivor = false;
-  for (bool e : r.diagnostics.eliminated) survivor |= !e;
-  EXPECT_TRUE(survivor);
-}
-
 TEST(Heuristic, LargeEpsilonDegradesToExhaustive) {
   const soc::Soc soc = soc::make_p93791m();
+  const FrontierPoint tight = heuristic(soc, 32, 0.5, 0.0);
+  // epsilon = 1000: no group gets eliminated.
+  const FrontierPoint all = heuristic(soc, 32, 0.5, 1000.0);
 
-  CostModel strict_model(problem(soc, 32, 0.5));
-  HeuristicOptions strict;
-  strict.epsilon = 0.0;
-  const HeuristicResult tight = optimize_cost_heuristic(strict_model, strict);
+  // Fig. 3 then asks for every paid run; the lower bound may still
+  // skip some of them without changing the winner.
+  EXPECT_EQ(all.evaluations + all.pruned, 25);
+  EXPECT_LE(tight.evaluations + tight.pruned, all.evaluations + all.pruned);
 
-  CostModel loose_model(problem(soc, 32, 0.5));
-  HeuristicOptions loose;
-  loose.epsilon = 1000.0;  // nothing gets eliminated
-  const HeuristicResult all = optimize_cost_heuristic(loose_model, loose);
-
-  EXPECT_EQ(all.evaluations, 25);  // = exhaustive (all-share free)
-  EXPECT_LE(tight.evaluations, all.evaluations);
-
-  CostModel exhaustive_model(problem(soc, 32, 0.5));
-  const OptimizationResult best = optimize_exhaustive(exhaustive_model);
-  EXPECT_NEAR(all.best.total, best.best.total, 1e-9);
+  const FrontierPoint best = exhaustive(soc, 32, 0.5);
+  EXPECT_EQ(all.best.total, best.best.total);
 }
 
 TEST(Heuristic, NegativeEpsilonRejected) {
   const soc::Soc soc = soc::make_p93791m();
-  CostModel model(problem(soc, 32, 0.5));
-  HeuristicOptions options;
+  FrontierOptions options = one_width(32, 0.5);
   options.epsilon = -1.0;
-  EXPECT_THROW(optimize_cost_heuristic(model, options), InfeasibleError);
+  EXPECT_THROW(FrontierEngine(soc, options), InfeasibleError);
 }
 
 TEST(Heuristic, AreaHeavyWeightsPreferMoreSharing) {
   const soc::Soc soc = soc::make_p93791m();
-
-  CostModel time_heavy(problem(soc, 64, 0.95));
-  const HeuristicResult t = optimize_cost_heuristic(time_heavy);
-
-  CostModel area_heavy(problem(soc, 64, 0.05));
-  const HeuristicResult a = optimize_cost_heuristic(area_heavy);
+  const FrontierPoint t = heuristic(soc, 64, 0.95);
+  const FrontierPoint a = heuristic(soc, 64, 0.05);
 
   // With area dominating, the winner has at most as many wrappers as the
   // time-dominated winner.
@@ -120,54 +114,36 @@ TEST(Heuristic, AreaHeavyWeightsPreferMoreSharing) {
 
 class ParallelDeterminism : public ::testing::TestWithParam<int> {};
 
+void expect_identical(const FrontierPoint& serial,
+                      const FrontierPoint& parallel,
+                      const std::string& what) {
+  EXPECT_EQ(serial.best.partition, parallel.best.partition) << what;
+  EXPECT_EQ(serial.best.label, parallel.best.label) << what;
+  EXPECT_EQ(serial.best.test_time, parallel.best.test_time) << what;
+  EXPECT_EQ(serial.best.total, parallel.best.total) << what;
+  EXPECT_EQ(serial.best.c_time, parallel.best.c_time) << what;
+  EXPECT_EQ(serial.best.c_area, parallel.best.c_area) << what;
+  EXPECT_EQ(serial.t_max, parallel.t_max) << what;
+  EXPECT_EQ(serial.evaluations, parallel.evaluations) << what;
+  EXPECT_EQ(serial.pruned, parallel.pruned) << what;
+  EXPECT_EQ(serial.total_combinations, parallel.total_combinations) << what;
+}
+
 TEST_P(ParallelDeterminism, ExhaustiveBitIdenticalAcrossJobs) {
   // --jobs 1 and --jobs N must agree bit-for-bit on both benchmark SOCs:
   // best partition, cost, test time, and the evaluation count.
   const int jobs = GetParam();
   for (const soc::Soc& soc : {soc::make_p93791m(), soc::make_d695m()}) {
-    CostModel serial_model(problem(soc, 32, 0.5));
-    const OptimizationResult serial = optimize_exhaustive(serial_model, 1);
-
-    CostModel parallel_model(problem(soc, 32, 0.5));
-    const OptimizationResult parallel =
-        optimize_exhaustive(parallel_model, jobs);
-
-    EXPECT_EQ(serial.best.partition, parallel.best.partition) << soc.name();
-    EXPECT_EQ(serial.best.label, parallel.best.label) << soc.name();
-    EXPECT_EQ(serial.best.test_time, parallel.best.test_time) << soc.name();
-    EXPECT_EQ(serial.best.total, parallel.best.total) << soc.name();
-    EXPECT_EQ(serial.best.c_time, parallel.best.c_time) << soc.name();
-    EXPECT_EQ(serial.best.c_area, parallel.best.c_area) << soc.name();
-    EXPECT_EQ(serial.evaluations, parallel.evaluations) << soc.name();
-    EXPECT_EQ(serial.total_combinations, parallel.total_combinations)
-        << soc.name();
+    expect_identical(exhaustive(soc, 32, 0.5, 1),
+                     exhaustive(soc, 32, 0.5, jobs), soc.name());
   }
 }
 
 TEST_P(ParallelDeterminism, HeuristicBitIdenticalAcrossJobs) {
   const int jobs = GetParam();
   for (const soc::Soc& soc : {soc::make_p93791m(), soc::make_d695m()}) {
-    CostModel serial_model(problem(soc, 32, 0.5));
-    const HeuristicResult serial = optimize_cost_heuristic(serial_model);
-
-    CostModel parallel_model(problem(soc, 32, 0.5));
-    HeuristicOptions options;
-    options.jobs = jobs;
-    const HeuristicResult parallel =
-        optimize_cost_heuristic(parallel_model, options);
-
-    EXPECT_EQ(serial.best.partition, parallel.best.partition) << soc.name();
-    EXPECT_EQ(serial.best.total, parallel.best.total) << soc.name();
-    EXPECT_EQ(serial.best.test_time, parallel.best.test_time) << soc.name();
-    EXPECT_EQ(serial.evaluations, parallel.evaluations) << soc.name();
-    EXPECT_EQ(serial.diagnostics.group_shapes,
-              parallel.diagnostics.group_shapes)
-        << soc.name();
-    EXPECT_EQ(serial.diagnostics.representative_costs,
-              parallel.diagnostics.representative_costs)
-        << soc.name();
-    EXPECT_EQ(serial.diagnostics.eliminated, parallel.diagnostics.eliminated)
-        << soc.name();
+    expect_identical(heuristic(soc, 32, 0.5, 0.0, 1),
+                     heuristic(soc, 32, 0.5, 0.0, jobs), soc.name());
   }
 }
 
@@ -175,26 +151,20 @@ INSTANTIATE_TEST_SUITE_P(Jobs, ParallelDeterminism,
                          ::testing::Values(2, 4, 0));
 
 TEST(EvaluationReduction, Formula) {
-  OptimizationResult r;
-  r.total_combinations = 26;
-  r.evaluations = 10;
-  EXPECT_NEAR(r.evaluation_reduction_percent(), 61.5, 0.1);
-  r.evaluations = 7;
-  EXPECT_NEAR(r.evaluation_reduction_percent(), 73.1, 0.1);
+  EXPECT_NEAR(evaluation_reduction_percent(10, 26), 61.5, 0.1);
+  EXPECT_NEAR(evaluation_reduction_percent(7, 26), 73.1, 0.1);
+  EXPECT_EQ(evaluation_reduction_percent(0, 0), 0.0);
 }
 
 TEST(Optimizers, RespectSharingPolicy) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem p = problem(soc, 32, 0.5);
-  // Forbid everything except... make policy impossible to satisfy for
-  // shared groups by mutating resolutions is not possible here, so use a
-  // policy that still accepts Table-2 cores (all 8-bit) and check the
-  // count stays 26.
-  p.policy.max_fs_ratio = 1.0;
-  p.policy.min_resolution_gap = 99;  // gap never reached -> all feasible
-  CostModel model(p);
-  const OptimizationResult r = optimize_exhaustive(model);
-  EXPECT_EQ(r.total_combinations, 26);
+  FrontierOptions options = one_width(32, 0.5);
+  options.exhaustive = true;
+  // A policy that still accepts every Table-2 pairing (all 8-bit cores,
+  // gap never reached) must keep all 26 combinations.
+  options.policy.max_fs_ratio = 1.0;
+  options.policy.min_resolution_gap = 99;
+  EXPECT_EQ(solve(soc, options).total_combinations, 26);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // envelope round-trips, canonical keys are equal exactly for equal
 // requests, the argv surface parses to the same request as the JSON
 // surface, and a request validate() rejects gets the same message from
-// both surfaces.
+// both surfaces.  Plus the one-reduction contract: a single plan is the
+// one-width sweep's case.
 
 #include "msoc/plan/request.hpp"
 
@@ -11,12 +12,15 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/format.hpp"
+#include "msoc/common/parallel.hpp"
 #include "msoc/common/rng.hpp"
+#include "msoc/soc/soc.hpp"
 
 namespace {
 
@@ -372,6 +376,54 @@ TEST(PlanRequest, NonFiniteEpsilonIsRejected) {
   r.epsilon = std::numeric_limits<double>::infinity();
   EXPECT_NE(rejection([&] { r.validate(); }).find("finite"),
             std::string::npos);
+}
+
+/// The document's one case object, wall-clock zeroed.
+std::string only_case(const std::string& document) {
+  static const std::regex kCase(R"(\n    (\{"soc".*\})\n)");
+  static const std::regex kWall(R"("wall_ms": [-0-9.eE+]+)");
+  std::smatch match;
+  EXPECT_TRUE(std::regex_search(document, match, kCase)) << document;
+  return std::regex_replace(match[1].str(), kWall, "\"wall_ms\": 0");
+}
+
+/// The document's top-level "jobs".
+std::string jobs_of(const std::string& document) {
+  static const std::regex kJobs(R"(\n  "jobs": ([0-9]+),)");
+  std::smatch match;
+  EXPECT_TRUE(std::regex_search(document, match, kJobs)) << document;
+  return match[1].str();
+}
+
+TEST(PlanExecution, SinglePlanIsTheOneWidthSweepCase) {
+  for (const char* bench : {"d695m", "p93791m"}) {
+    const msoc::soc::Soc soc = msoc::plan::builtin_soc(bench);
+    for (const bool exhaustive : {false, true}) {
+      for (const int jobs : {1, 0}) {
+        PlanRequest plan;
+        plan.bench = bench;
+        plan.width = 32;
+        plan.exhaustive = exhaustive;
+        plan.jobs = jobs;
+        PlanRequest sweep = plan;
+        sweep.op = "sweep";
+        sweep.w_time = 0.5;
+        const std::string what = std::string(bench) +
+                                 (exhaustive ? " exhaustive" : "") +
+                                 " jobs " + std::to_string(jobs);
+        const std::string plan_doc =
+            msoc::plan::execute(plan, &soc, nullptr).document;
+        const std::string sweep_doc =
+            msoc::plan::execute(sweep, &soc, nullptr).document;
+        EXPECT_EQ(only_case(plan_doc), only_case(sweep_doc)) << what;
+        // One meaning for "jobs": the threads the fan-out really uses.
+        EXPECT_EQ(jobs_of(plan_doc), jobs_of(sweep_doc)) << what;
+        EXPECT_EQ(jobs_of(plan_doc),
+                  std::to_string(jobs == 0 ? msoc::hardware_jobs() : jobs))
+            << what;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -330,7 +330,7 @@ int report_frontier(const Cli& cli, const msoc::plan::FrontierResult& result,
 int report_sweep(const Cli& cli, const msoc::plan::SweepResult& result) {
   std::printf("sweep: %zu cases (%s, jobs=%d%s%s)\n", result.rows.size(),
               cli.request.exhaustive ? "exhaustive" : "Cost_Optimizer",
-              cli.request.jobs, cli.cache_dir.empty() ? "" : ", cache ",
+              result.jobs, cli.cache_dir.empty() ? "" : ", cache ",
               cli.cache_dir.c_str());
   int failures = 0;
   for (const msoc::plan::SweepRow& row : result.rows) {
@@ -368,7 +368,8 @@ int report_sweep(const Cli& cli, const msoc::plan::SweepResult& result) {
 
 /// Summary of a single plan (reported as a one-case sweep).
 void report_plan(const Cli& cli, const msoc::soc::Soc& soc,
-                 const msoc::plan::SweepRow& row) {
+                 const msoc::plan::SweepResult& result) {
+  const msoc::plan::SweepRow& row = result.rows.front();
   char power_note[48] = "";
   if (row.max_power > 0.0) {
     std::snprintf(power_note, sizeof power_note, "; max power %g",
@@ -386,7 +387,7 @@ void report_plan(const Cli& cli, const msoc::soc::Soc& soc,
               row.tam_width, power_note, window_note, row.w_time,
               1.0 - row.w_time,
               cli.request.exhaustive ? "exhaustive" : "Cost_Optimizer",
-              cli.request.jobs);
+              result.jobs);
   std::printf("\nplan: %s\n", row.best_label.c_str());
   std::printf("  C = %.2f  (C_time = %.2f, C_A = %.2f)\n", row.best_total,
               row.c_time, row.c_area);
@@ -416,7 +417,7 @@ int run_in_process(const Cli& cli) {
   } else if (result.sweep && request.op == "sweep") {
     status = report_sweep(cli, *result.sweep);
   } else if (result.sweep && soc) {
-    report_plan(cli, *soc, result.sweep->rows.front());
+    report_plan(cli, *soc, *result.sweep);
   }
   write_outputs(cli, result.document, result.csv);
   if (result.schedule && soc) {
