@@ -17,10 +17,7 @@ int main() {
   std::puts("(* marks the column minimum, as highlighted in the paper)\n");
 
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem base;
-  base.soc = &soc;
-
-  const plan::Table3 table = plan::make_table3(soc, {32, 48, 64}, base);
+  const plan::Table3 table = plan::make_table3(soc, {32, 48, 64});
   std::fputs(table.render().c_str(), stdout);
 
   std::puts("\npaper spreads for comparison: W=32: 2.45  W=48: 7.36  "

@@ -17,13 +17,11 @@ int main() {
   std::puts("=== Table 4: Cost_Optimizer vs exhaustive, p93791m ===\n");
 
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem base;
-  base.soc = &soc;
 
   const std::vector<plan::CostWeights> weights = {
       {0.50, 0.50}, {0.75, 0.25}, {0.25, 0.75}};
   const plan::Table4 table =
-      plan::make_table4(soc, {32, 40, 48, 56, 64}, weights, base);
+      plan::make_table4(soc, {32, 40, 48, 56, 64}, weights);
   std::fputs(table.render().c_str(), stdout);
 
   int optimal = 0;

@@ -12,18 +12,11 @@
 // free analog lower bound:  Prelim = w_T * LB_norm + w_A * C_A.  It is
 // what the Cost_Optimizer heuristic picks group representatives by.
 
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "msoc/common/units.hpp"
-#include "msoc/mswrap/area_model.hpp"
 #include "msoc/mswrap/partition.hpp"
 #include "msoc/mswrap/sharing.hpp"
-#include "msoc/soc/soc.hpp"
-#include "msoc/tam/packing.hpp"
-#include "msoc/tam/schedule.hpp"
 
 namespace msoc::plan {
 
@@ -51,19 +44,6 @@ struct CostWeights {
 [[nodiscard]] double preliminary_cost(
     const CostWeights& weights, const mswrap::SharingEvaluation& evaluation);
 
-/// Everything the planner needs to evaluate combinations on one SOC.
-struct PlanningProblem {
-  const soc::Soc* soc = nullptr;
-  int tam_width = 32;
-  CostWeights weights;
-  mswrap::WrapperAreaModel area_model;
-  mswrap::SharingPolicy policy;
-  mswrap::EnumerationOptions enumeration;
-  tam::PackingOptions packing;
-
-  void validate() const;
-};
-
 /// Full evaluation of one sharing combination.
 struct CombinationCost {
   mswrap::Partition partition;
@@ -83,55 +63,5 @@ struct CombinationCost {
 [[nodiscard]] CombinationCost combination_cost(
     const CostWeights& weights, const mswrap::Partition& partition,
     std::string label, Cycles test_time, Cycles t_max, double c_area);
-
-/// Evaluates combinations against one PlanningProblem, memoizing the
-/// expensive TAM-optimizer runs and the T_max baseline.
-///
-/// Thread safety: evaluate() and run_tam's memo table are guarded by an
-/// internal mutex, and the T_max baseline is computed eagerly at
-/// construction, so concurrent evaluate() calls on distinct partitions
-/// are safe and produce exactly the serial results (schedule_soc is a
-/// pure function of its arguments).  Construction itself is not
-/// concurrent-safe; build the model before fanning out.
-class CostModel {
- public:
-  explicit CostModel(const PlanningProblem& problem);
-
-  /// SOC test time with all analog cores on one wrapper (computed at
-  /// construction — it is the C_time normalization every evaluation
-  /// needs).
-  [[nodiscard]] Cycles t_max() const noexcept { return t_max_; }
-
-  /// Full Eq. 2 evaluation (runs the TAM optimizer; memoized).
-  [[nodiscard]] CombinationCost evaluate(const mswrap::Partition& partition);
-
-  /// Number of distinct TAM-optimizer invocations so far.  The all-share
-  /// baseline is excluded: its schedule is the normalization constant the
-  /// model needs anyway (this matches the paper's evaluation counting).
-  [[nodiscard]] int tam_runs() const;
-
-  [[nodiscard]] const std::vector<soc::AnalogCore>& cores() const {
-    return problem_.soc->analog_cores();
-  }
-  [[nodiscard]] const PlanningProblem& problem() const { return problem_; }
-
-  /// The schedule behind an already-evaluated combination.
-  [[nodiscard]] tam::Schedule schedule_for(
-      const mswrap::Partition& partition) const;
-
- private:
-  [[nodiscard]] Cycles run_tam(const mswrap::Partition& partition);
-
-  PlanningProblem problem_;
-  std::vector<std::string> names_;
-  Cycles t_max_ = 0;
-  /// Baseline schedule from construction; read-only afterwards, lent to
-  /// schedule_soc as the serialized-fallback hint so every evaluation
-  /// skips repacking the identical merged arrangement.
-  tam::Schedule all_share_schedule_;
-  mutable std::mutex mutex_;  ///< Guards tam_runs_ and time_cache_.
-  int tam_runs_ = 0;
-  std::map<mswrap::Partition, Cycles> time_cache_;
-};
 
 }  // namespace msoc::plan

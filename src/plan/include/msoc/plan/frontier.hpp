@@ -201,12 +201,20 @@ class FrontierEngine {
                                                   double max_power,
                                                   bool trust_cache);
   [[nodiscard]] FrontierResult run_grid();
+  /// A point for (width, max_power) carrying only its budget
+  /// coordinates: the start of every solved and every error point.
+  [[nodiscard]] FrontierPoint blank_point(int width, double max_power) const;
+  /// The packing options of one resolved budget cell: the caller's
+  /// options with the engine's staircases and the cell's effective
+  /// power budget and window.
+  [[nodiscard]] tam::PackingOptions cell_packing(double max_power,
+                                                 Cycles window_cycles,
+                                                 double window_limit) const;
 
   const soc::Soc& soc_;
   FrontierOptions options_;
   std::string digest_;
   std::string fingerprint_;
-  std::vector<std::string> names_;
   std::optional<PartitionSpace> space_;  ///< Engaged by the ctor.
   tam::ParetoTables own_pareto_tables_;        ///< Empty when borrowed.
   const tam::ParetoTables* pareto_tables_ = nullptr;

@@ -14,9 +14,12 @@
 //   a makespan can come from three places, tried in order: the current
 //   store's snapshot, a replan BASELINE store (when the cell's digests
 //   are clean relative to it), or a fresh TAM pack (one deterministic
-//   parallel fan-out over the misses).  Reused and fresh results alike
-//   are re-recorded under the CURRENT digest — that is the splice that
-//   materializes an up-to-date store on flush.
+//   parallel fan-out over the misses).  The evaluator packs for itself:
+//   it owns the cell's all-share baseline schedule (the T_max every
+//   cost normalizes by, lent to each fresh pack as its serialized
+//   fallback) and its only makespan memo.  Reused and fresh results
+//   alike are re-recorded under the CURRENT digest — that is the
+//   splice that materializes an up-to-date store on flush.
 //
 //   Stage 3 — frontier assembly (frontier.cpp): Fig. 3 elimination,
 //   lower-bound pruning, winner reduction, and per-rung Pareto /
@@ -28,7 +31,6 @@
 // the cells' cache keys, which is exactly why stage 2 results survive
 // SOC revisions whose digests are clean (FrontierEngine::replan).
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +39,8 @@
 #include "msoc/plan/result_cache.hpp"
 #include "msoc/soc/delta.hpp"
 #include "msoc/soc/soc.hpp"
+#include "msoc/tam/packing.hpp"
+#include "msoc/tam/schedule.hpp"
 
 namespace msoc::plan {
 
@@ -54,16 +58,6 @@ struct PartitionCell {
   Cycles analog_lb = 0;   ///< Busiest-wrapper usage (width-independent).
   std::string key_full;     ///< partition_key over full core digests.
   std::string key_packing;  ///< ... over power-stripped digests.
-
-  /// The cache key a cell at effective budget `max_power` stores under:
-  /// constrained packs (peak budget OR sliding-window budget) see power
-  /// annotations, unconstrained ones provably cannot, so those key on
-  /// the stripped digests and stay valid across power-annotation-only
-  /// revisions.
-  [[nodiscard]] const std::string& key_for(double max_power,
-                                           bool windowed = false) const {
-    return max_power > 0.0 || windowed ? key_full : key_packing;
-  }
 };
 
 /// Fig. 3 shape group over PartitionSpace cells.
@@ -90,12 +84,6 @@ class PartitionSpace {
   std::string all_share_key_full;
   std::string all_share_key_packing;
 
-  [[nodiscard]] const std::string& all_share_key_for(
-      double max_power, bool windowed = false) const {
-    return max_power > 0.0 || windowed ? all_share_key_full
-                                       : all_share_key_packing;
-  }
-
   /// Per-cell reuse permission against a baseline delta: a cell is
   /// CLEAN when the digital context and every member analog core of
   /// its partition are untouched in the digest flavor the budget class
@@ -114,44 +102,45 @@ class PartitionSpace {
 /// results.
 class PartitionEvaluator {
  public:
-  /// `clean` (borrowed, may be null = no baseline reuse) flags the
-  /// cells allowed to read `baseline_digest`'s store.  `cache` may be
-  /// null (everything is packed fresh).  `trust_cache` false disables
-  /// ALL store reads — the StaleCacheError retry path.
-  /// `window_cycles`/`window_limit` are the EFFECTIVE sliding-window
-  /// budget of the cell (both 0 = unwindowed); like max_power they are
-  /// explicit EntryKey coordinates, and an active window flips the
-  /// partition keys to the powered (full-digest) flavor.
-  PartitionEvaluator(const PartitionSpace& space, ResultCache* cache,
-                     const std::string& digest,
+  /// `packing` is the cell's RESOLVED packing options: max_power is
+  /// the effective budget (never the inherit sentinel), and
+  /// window_cycles/window_limit the effective sliding window (limit 0 =
+  /// unwindowed).  Those fields are also the cell's EntryKey
+  /// coordinates.  `clean` (borrowed, may be
+  /// null = no baseline reuse) flags the cells allowed to read
+  /// `baseline_digest`'s store.  `cache` may be null (everything is
+  /// packed fresh).  `trust_cache` false disables ALL store reads — the
+  /// StaleCacheError retry path.
+  PartitionEvaluator(const soc::Soc& soc, const PartitionSpace& space,
+                     ResultCache* cache, const std::string& digest,
                      const std::string& baseline_digest,
                      const std::string& fingerprint, int width,
-                     double max_power, Cycles window_cycles,
-                     double window_limit, bool trust_cache,
+                     const tam::PackingOptions& packing, bool trust_cache,
                      const std::vector<bool>* clean, int jobs);
 
   /// Resolves the all-share T_max: current store, then baseline store,
-  /// then `pack_t_max()` (records fresh AND baseline-read values under
-  /// the current digest).  Returns the baseline; `from_store` reports
-  /// whether it was answered without packing — the caller must verify
-  /// a store-read baseline against the model before trusting
-  /// store-read makespans (see t_max_confirmed).
-  [[nodiscard]] Cycles begin_cell(const std::function<Cycles()>& pack_t_max,
-                                  const std::string& label,
-                                  bool* from_store);
+  /// then a fresh baseline pack (records fresh AND baseline-read values
+  /// under the current digest).  A store-read baseline is checked
+  /// against a fresh pack before the first fresh combination pack (see
+  /// resolve()).
+  [[nodiscard]] Cycles begin_cell();
 
   /// Resolves `indices`: current store, baseline store (clean cells
-  /// only), then one parallel fan-out of `model()`.evaluate over the
-  /// misses.  `model` is invoked only when misses exist.  Throws
-  /// StaleCacheError when a store value contradicts the baseline.
-  void resolve(const std::vector<std::size_t>& indices,
-               const std::function<CostModel&()>& model);
+  /// only), then one parallel fan-out of TAM packs over the misses.
+  /// The all-share cell is never packed: on a miss it takes the
+  /// baseline makespan.  Throws StaleCacheError when a store value
+  /// contradicts the baseline.
+  void resolve(const std::vector<std::size_t>& indices);
 
   [[nodiscard]] const std::optional<Cycles>& time(std::size_t index) const {
     return time_of_[index];
   }
   [[nodiscard]] int cache_hits() const noexcept { return cache_hits_; }
   [[nodiscard]] int reused() const noexcept { return reused_; }
+  /// Fresh combination packs so far.  The all-share baseline is
+  /// excluded: it is the normalization constant every cost needs
+  /// anyway (the paper's evaluation counting).
+  [[nodiscard]] int evaluations() const noexcept { return evaluations_; }
 
  private:
   /// Store lookup for one key: current digest first, then the baseline
@@ -160,24 +149,34 @@ class PartitionEvaluator {
   [[nodiscard]] std::optional<Cycles> lookup(const std::string& key,
                                              const std::string& label,
                                              bool cell_clean);
+  [[nodiscard]] ResultCache::EntryKey entry_key(
+      const std::string& partition_key) const;
+  /// The all-share schedule, packed on first use.
+  [[nodiscard]] const tam::Schedule& baseline();
 
+  const soc::Soc& soc_;
   const PartitionSpace& space_;
   ResultCache* cache_;
   const std::string& digest_;
   const std::string& baseline_digest_;  ///< Empty = not replanning.
   const std::string& fingerprint_;
   int width_;
-  double max_power_;
-  Cycles window_cycles_;
-  double window_limit_;
+  tam::PackingOptions packing_;
+  /// Constrained packs (peak budget or window) see power annotations
+  /// and key on the full digests; unconstrained ones provably cannot,
+  /// so they key on the stripped digests and stay valid across
+  /// power-annotation-only revisions.
+  bool powered_;
   bool trust_cache_;
   const std::vector<bool>* clean_;
   int jobs_;
   Cycles t_max_ = 0;
   bool t_max_from_store_ = false;
+  std::optional<tam::Schedule> baseline_;
   std::vector<std::optional<Cycles>> time_of_;
   int cache_hits_ = 0;
   int reused_ = 0;
+  int evaluations_ = 0;
 };
 
 }  // namespace msoc::plan

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "msoc/plan/cost_model.hpp"
+#include "msoc/plan/frontier.hpp"
 
 namespace msoc::plan {
 
@@ -56,9 +56,14 @@ struct Table3 {
   [[nodiscard]] std::string render() const;
 };
 
+/// C_time of every sharing combination (feasible or not) at each
+/// width, each packed under `base`'s packing options against the
+/// all-share baseline; `base` also supplies the area model, sharing
+/// policy and enumeration.  Throws InfeasibleError on a width below 1
+/// or an SOC without analog cores.
 [[nodiscard]] Table3 make_table3(const soc::Soc& soc,
                                  const std::vector<int>& widths,
-                                 const PlanningProblem& base);
+                                 const FrontierOptions& base = {});
 
 // ---------------------------------------------------------------- Table 4
 struct Table4Row {
@@ -88,11 +93,12 @@ struct Table4 {
 };
 
 /// One heuristic and one exhaustive FrontierEngine per weight set, each
-/// across every width, under `base`'s area model, sharing policy,
-/// enumeration and packing options.
+/// across every width, under `base`'s other options (its widths,
+/// weights, exhaustive flag and cache are ignored: N counts TAM runs,
+/// so the table never reads a cache).
 [[nodiscard]] Table4 make_table4(const soc::Soc& soc,
                                  const std::vector<int>& widths,
                                  const std::vector<CostWeights>& weight_sets,
-                                 const PlanningProblem& base);
+                                 const FrontierOptions& base = {});
 
 }  // namespace msoc::plan

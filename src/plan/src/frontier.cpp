@@ -85,7 +85,6 @@ FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
 
   digest_ = soc::digest_hex(soc_);
   fingerprint_ = packing_fingerprint(options_.packing);
-  names_ = mswrap::core_names(soc_.analog_cores());
   for (const soc::AnalogCore& core : soc_.analog_cores()) {
     max_analog_width_ = std::max(max_analog_width_, core.tam_width());
   }
@@ -132,10 +131,8 @@ FrontierPoint FrontierEngine::solve_point(int width, double max_power) {
   }
 }
 
-FrontierPoint FrontierEngine::solve_point_attempt(int width,
-                                                  double max_power,
-                                                  bool trust_cache) {
-  const Clock::time_point started = Clock::now();
+FrontierPoint FrontierEngine::blank_point(int width,
+                                          double max_power) const {
   FrontierPoint point;
   point.tam_width = width;
   point.max_power = max_power;
@@ -144,43 +141,36 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     point.window_limit = window_.limit;
   }
   point.total_combinations = static_cast<int>(space_->cells.size());
+  return point;
+}
 
+tam::PackingOptions FrontierEngine::cell_packing(double max_power,
+                                                 Cycles window_cycles,
+                                                 double window_limit) const {
+  tam::PackingOptions packing = options_.packing;
+  packing.pareto_hint = pareto_tables_;
+  packing.max_power = max_power;
+  packing.window_cycles = window_cycles;
+  packing.window_limit = window_limit;
+  return packing;
+}
+
+FrontierPoint FrontierEngine::solve_point_attempt(int width,
+                                                  double max_power,
+                                                  bool trust_cache) {
+  const Clock::time_point started = Clock::now();
+  FrontierPoint point = blank_point(width, max_power);
   if (width < 1) {
     point.error = "TAM width must be >= 1";
-    point.wall_ms = elapsed_ms(started);
-    return point;
-  }
-  if (max_analog_width_ > width) {
+  } else if (max_analog_width_ > width) {
     point.error = kTooNarrow;
-    point.wall_ms = elapsed_ms(started);
-    return point;
-  }
-  if (max_power > 0.0 && peak_test_power_ > max_power) {
+  } else if (max_power > 0.0 && peak_test_power_ > max_power) {
     point.error = kTooHot;
+  }
+  if (!point.ok()) {
     point.wall_ms = elapsed_ms(started);
     return point;
   }
-
-  std::optional<CostModel> model;
-  const auto ensure_model = [&]() -> CostModel& {
-    if (!model.has_value()) {
-      PlanningProblem problem;
-      problem.soc = &soc_;
-      problem.tam_width = width;
-      problem.weights = options_.weights;
-      problem.area_model = options_.area_model;
-      problem.policy = options_.policy;
-      problem.enumeration = options_.enumeration;
-      problem.packing = options_.packing;
-      problem.packing.pareto_hint = pareto_tables_;
-      // Already resolved against the SOC; never the inherit sentinel.
-      problem.packing.max_power = max_power;
-      problem.packing.window_cycles = window_.cycles;
-      problem.packing.window_limit = window_.active() ? window_.limit : 0.0;
-      model.emplace(problem);
-    }
-    return *model;
-  };
 
   // --- Stage 2: digest-keyed makespan resolution for this cell.
   // When replanning, the budget class picks which digest flavor's
@@ -191,17 +181,17 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     clean = max_power > 0.0 || window_.active() ? &*clean_full_
                                                 : &*clean_packing_;
   }
+  // max_power is already resolved against the SOC: never the inherit
+  // sentinel.
   PartitionEvaluator evaluator(
-      *space_, options_.cache, digest_, replan_baseline_, fingerprint_,
-      width, max_power, window_.cycles,
-      window_.active() ? window_.limit : 0.0, trust_cache, clean,
-      options_.jobs);
+      soc_, *space_, options_.cache, digest_, replan_baseline_,
+      fingerprint_, width,
+      cell_packing(max_power, window_.cycles,
+                   window_.active() ? window_.limit : 0.0),
+      trust_cache, clean, options_.jobs);
 
   // T_max: the all-share baseline every cost normalizes by.
-  bool t_max_from_store = false;
-  const Cycles t_max = evaluator.begin_cell(
-      [&]() -> Cycles { return ensure_model().t_max(); },
-      space_->all_share.to_string(names_, true), &t_max_from_store);
+  const Cycles t_max = evaluator.begin_cell();
 
   // One Eq. 2 construction for stored and freshly-packed times alike,
   // from the cell's precomputed area cost.
@@ -210,15 +200,6 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     return combination_cost(options_.weights, cell.evaluation.partition,
                             cell.evaluation.label, test_time, t_max,
                             cell.evaluation.area_cost);
-  };
-
-  // Pruning decisions are made BEFORE each resolve() fan-out, against
-  // thresholds fixed serially, so jobs never changes results or
-  // counts.
-  const auto resolve = [&](const std::vector<std::size_t>& indices) {
-    evaluator.resolve(indices, [&]() -> CostModel& {
-      return ensure_model();
-    });
   };
 
   bool have_best = false;
@@ -230,10 +211,13 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
   };
 
   const std::vector<PartitionCell>& cells = space_->cells;
+  // Pruning decisions are made BEFORE each resolve() fan-out, against
+  // thresholds fixed serially, so jobs never changes results or
+  // counts.
   if (options_.exhaustive) {
     std::vector<std::size_t> everything(cells.size());
     for (std::size_t i = 0; i < everything.size(); ++i) everything[i] = i;
-    resolve(everything);
+    evaluator.resolve(everything);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       consider(make_cost(cells[i], *evaluator.time(i)));
     }
@@ -244,7 +228,7 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
     for (const PartitionGroup& group : space_->groups) {
       reps.push_back(group.representative);
     }
-    resolve(reps);
+    evaluator.resolve(reps);
     std::vector<double> rep_total(space_->groups.size());
     double min_rep = std::numeric_limits<double>::infinity();
     for (std::size_t g = 0; g < space_->groups.size(); ++g) {
@@ -282,7 +266,7 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
         survivors.push_back(index);
       }
     }
-    resolve(survivors);
+    evaluator.resolve(survivors);
 
     // Reduce in Fig. 3's order: groups in shape order; an eliminated
     // group's representative still competes (it was evaluated);
@@ -301,7 +285,7 @@ FrontierPoint FrontierEngine::solve_point_attempt(int width,
   }
 
   point.t_max = t_max;
-  point.evaluations = model.has_value() ? model->tam_runs() : 0;
+  point.evaluations = evaluator.evaluations();
   point.cache_hits = evaluator.cache_hits();
   point.reused = evaluator.reused();
   point.wall_ms = elapsed_ms(started);
@@ -323,13 +307,7 @@ FrontierResult FrontierEngine::run_grid() {
       try {
         point = solve_point(width, max_power);
       } catch (const InfeasibleError& e) {
-        point.tam_width = width;
-        point.max_power = max_power;
-        if (window_.active()) {
-          point.window_cycles = window_.cycles;
-          point.window_limit = window_.limit;
-        }
-        point.total_combinations = static_cast<int>(space_->cells.size());
+        point = blank_point(width, max_power);
         point.error = e.what();
       }
       result.evaluations += point.evaluations;
@@ -363,15 +341,10 @@ FrontierResult FrontierEngine::run_grid() {
 
 tam::Schedule FrontierEngine::schedule(const FrontierPoint& point) const {
   require(point.ok(), "an infeasible frontier point has no schedule");
-  tam::PackingOptions packing = options_.packing;
-  packing.pareto_hint = pareto_tables_;
-  packing.max_power = point.max_power;
-  packing.window_cycles = point.window_cycles;
-  packing.window_limit = point.window_limit;
   return tam::schedule_soc(
       soc_, point.tam_width,
       mswrap::to_analog_partition(soc_.analog_cores(), point.best.partition),
-      packing);
+      cell_packing(point.max_power, point.window_cycles, point.window_limit));
 }
 
 FrontierResult FrontierEngine::run() {

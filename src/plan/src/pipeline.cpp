@@ -116,31 +116,48 @@ std::vector<bool> PartitionSpace::classify_clean(
 // --- Stage 2: digest-keyed makespan resolution. ---
 
 PartitionEvaluator::PartitionEvaluator(
-    const PartitionSpace& space, ResultCache* cache,
+    const soc::Soc& soc, const PartitionSpace& space, ResultCache* cache,
     const std::string& digest, const std::string& baseline_digest,
-    const std::string& fingerprint, int width, double max_power,
-    Cycles window_cycles, double window_limit, bool trust_cache,
+    const std::string& fingerprint, int width,
+    const tam::PackingOptions& packing, bool trust_cache,
     const std::vector<bool>* clean, int jobs)
-    : space_(space),
+    : soc_(soc),
+      space_(space),
       cache_(cache),
       digest_(digest),
       baseline_digest_(baseline_digest),
       fingerprint_(fingerprint),
       width_(width),
-      max_power_(max_power),
-      window_cycles_(window_cycles),
-      window_limit_(window_limit),
+      packing_(packing),
+      powered_(packing.max_power > 0.0 || packing.window_cycles > 0),
       trust_cache_(trust_cache),
       clean_(clean),
       jobs_(jobs),
       time_of_(space.cells.size()) {}
 
+ResultCache::EntryKey PartitionEvaluator::entry_key(
+    const std::string& partition_key) const {
+  return ResultCache::EntryKey{width_, packing_.max_power, fingerprint_,
+                               partition_key, packing_.window_cycles,
+                               packing_.window_limit};
+}
+
+const tam::Schedule& PartitionEvaluator::baseline() {
+  if (!baseline_.has_value()) {
+    baseline_ = tam::schedule_soc(
+        soc_, width_,
+        mswrap::to_analog_partition(soc_.analog_cores(), space_.all_share),
+        packing_);
+    check_invariant(baseline_->makespan() > 0, "T_max must be positive");
+  }
+  return *baseline_;
+}
+
 std::optional<Cycles> PartitionEvaluator::lookup(const std::string& key,
                                                  const std::string& label,
                                                  bool cell_clean) {
   if (cache_ == nullptr || !trust_cache_) return std::nullopt;
-  ResultCache::EntryKey entry{width_, max_power_, fingerprint_, key,
-                              window_cycles_, window_limit_};
+  const ResultCache::EntryKey entry = entry_key(key);
   if (std::optional<Cycles> hit = cache_->lookup(digest_, entry)) {
     ++cache_hits_;
     return hit;
@@ -157,9 +174,7 @@ std::optional<Cycles> PartitionEvaluator::lookup(const std::string& key,
   return std::nullopt;
 }
 
-Cycles PartitionEvaluator::begin_cell(
-    const std::function<Cycles()>& pack_t_max, const std::string& label,
-    bool* from_store) {
+Cycles PartitionEvaluator::begin_cell() {
   // The all-share partition contains every analog core, so its entry
   // may be reused exactly when every cell's may (each cell also covers
   // all cores — sharing partitions cover the whole core set).
@@ -167,7 +182,9 @@ Cycles PartitionEvaluator::begin_cell(
       clean_ != nullptr && !clean_->empty() &&
       std::all_of(clean_->begin(), clean_->end(), [](bool c) { return c; });
   const std::string& key =
-      space_.all_share_key_for(max_power_, window_cycles_ > 0);
+      powered_ ? space_.all_share_key_full : space_.all_share_key_packing;
+  const std::string label = space_.all_share.to_string(
+      mswrap::core_names(soc_.analog_cores()), true);
   // t_max hits are deliberately not counted in cache_hits/reused — the
   // baseline is the normalization constant, not a combination
   // evaluation (matches the paper's evaluation counting).
@@ -178,35 +195,27 @@ Cycles PartitionEvaluator::begin_cell(
   reused_ = reused;
   if (stored.has_value()) {
     // Loading validated test_time >= 1, so the baseline is usable as a
-    // divisor; whether it is *correct* is re-checked against the
-    // packer the moment a model gets built (see resolve()).
+    // divisor; whether it is *correct* is re-checked against a fresh
+    // pack before the first fresh combination pack (see resolve()).
     t_max_ = *stored;
     t_max_from_store_ = true;
   } else {
-    t_max_ = pack_t_max();
-    t_max_from_store_ = false;
+    t_max_ = baseline().makespan();
     if (cache_ != nullptr) {
-      cache_->record(digest_,
-                     ResultCache::EntryKey{width_, max_power_, fingerprint_,
-                                           key, window_cycles_,
-                                           window_limit_},
-                     label, t_max_);
+      cache_->record(digest_, entry_key(key), label, t_max_);
     }
   }
-  if (from_store != nullptr) *from_store = t_max_from_store_;
   return t_max_;
 }
 
-void PartitionEvaluator::resolve(
-    const std::vector<std::size_t>& indices,
-    const std::function<CostModel&()>& model) {
+void PartitionEvaluator::resolve(const std::vector<std::size_t>& indices) {
   std::vector<std::size_t> misses;
   for (const std::size_t index : indices) {
     if (time_of_[index].has_value()) continue;
     const PartitionCell& cell = space_.cells[index];
     const bool cell_clean = clean_ != nullptr && (*clean_)[index];
     const std::optional<Cycles> hit =
-        lookup(cell.key_for(max_power_, window_cycles_ > 0),
+        lookup(powered_ ? cell.key_full : cell.key_packing,
                cell.evaluation.label, cell_clean);
     // A stored time above the baseline contradicts the packer's
     // serialized-fallback guarantee: the store is stale for this
@@ -219,29 +228,40 @@ void PartitionEvaluator::resolve(
     misses.push_back(index);
   }
   if (misses.empty()) return;
-  CostModel& the_model = model();
-  if (t_max_from_store_ && the_model.t_max() != t_max_) {
+  const tam::Schedule& all_share = baseline();
+  if (t_max_from_store_ && all_share.makespan() != t_max_) {
     // The stored baseline disagrees with a fresh pack: every stored
     // value for this width is suspect, including ones already consumed
     // by representative/elimination decisions — restart the width
     // without the stores.
     throw StaleCacheError{};
   }
+  // Every fresh pack skips repacking the merged arrangement its
+  // serialized fallback races: it is this very baseline schedule.
+  tam::PackingOptions hinted = packing_;
+  hinted.serialized_hint = &all_share;
   std::vector<Cycles> packed(misses.size());
   parallel_for(misses.size(), jobs_, [&](std::size_t i) {
-    packed[i] =
-        the_model.evaluate(space_.cells[misses[i]].evaluation.partition)
-            .test_time;
+    const mswrap::Partition& partition =
+        space_.cells[misses[i]].evaluation.partition;
+    if (partition == space_.all_share) {
+      packed[i] = t_max_;
+      return;
+    }
+    const tam::Schedule schedule = tam::schedule_soc(
+        soc_, width_,
+        mswrap::to_analog_partition(soc_.analog_cores(), partition),
+        hinted);
+    tam::require_valid(schedule);
+    packed[i] = schedule.makespan();
   });
   for (std::size_t i = 0; i < misses.size(); ++i) {
+    const PartitionCell& cell = space_.cells[misses[i]];
+    if (cell.evaluation.partition != space_.all_share) ++evaluations_;
     time_of_[misses[i]] = packed[i];
     if (cache_ != nullptr) {
-      const PartitionCell& cell = space_.cells[misses[i]];
       cache_->record(
-          digest_,
-          ResultCache::EntryKey{width_, max_power_, fingerprint_,
-                                cell.key_for(max_power_, window_cycles_ > 0),
-                                window_cycles_, window_limit_},
+          digest_, entry_key(powered_ ? cell.key_full : cell.key_packing),
           cell.evaluation.label, packed[i]);
     }
   }

@@ -75,7 +75,7 @@ std::string Table2::render() const {
 
 // ---------------------------------------------------------------- Table 3
 Table3 make_table3(const soc::Soc& soc, const std::vector<int>& widths,
-                   const PlanningProblem& base) {
+                   const FrontierOptions& base) {
   require(!widths.empty(), "table 3 needs at least one TAM width");
   Table3 table;
   table.widths = widths;
@@ -83,6 +83,7 @@ Table3 make_table3(const soc::Soc& soc, const std::vector<int>& widths,
   const std::vector<mswrap::SharingEvaluation> combos =
       mswrap::evaluate_combinations(soc.analog_cores(), base.area_model,
                                     base.policy, base.enumeration);
+  base.weights.validate();
   for (const mswrap::SharingEvaluation& e : combos) {
     Table3Row row;
     row.wrapper_count = e.wrapper_count;
@@ -90,14 +91,34 @@ Table3 make_table3(const soc::Soc& soc, const std::vector<int>& widths,
     table.rows.push_back(std::move(row));
   }
 
-  for (int width : widths) {
-    PlanningProblem problem = base;
-    problem.soc = &soc;
-    problem.tam_width = width;
-    CostModel model(problem);
+  const tam::AnalogPartition all_share = tam::all_share_partition(soc);
+  for (const int width : widths) {
+    require(width >= 1, "TAM width must be >= 1");
+    // The all-share schedule normalizes every C_time and is lent to each
+    // combination's pack as its serialized fallback.
+    const tam::Schedule baseline =
+        tam::schedule_soc(soc, width, all_share, base.packing);
+    const Cycles t_max = baseline.makespan();
+    check_invariant(t_max > 0, "T_max must be positive");
+    tam::PackingOptions hinted = base.packing;
+    hinted.serialized_hint = &baseline;
     for (std::size_t i = 0; i < combos.size(); ++i) {
-      const CombinationCost cost = model.evaluate(combos[i].partition);
-      table.rows[i].c_time.push_back(cost.c_time);
+      // One wrapper over every core is the baseline itself.
+      Cycles test_time = t_max;
+      if (combos[i].partition.wrapper_count() != 1) {
+        const tam::Schedule schedule = tam::schedule_soc(
+            soc, width,
+            mswrap::to_analog_partition(soc.analog_cores(),
+                                        combos[i].partition),
+            hinted);
+        tam::require_valid(schedule);
+        test_time = schedule.makespan();
+      }
+      table.rows[i].c_time.push_back(
+          combination_cost(base.weights, combos[i].partition,
+                           combos[i].label, test_time, t_max,
+                           combos[i].area_cost)
+              .c_time);
     }
   }
   return table;
@@ -174,16 +195,12 @@ const FrontierPoint& point_at(const FrontierResult& result, int width) {
 
 Table4 make_table4(const soc::Soc& soc, const std::vector<int>& widths,
                    const std::vector<CostWeights>& weight_sets,
-                   const PlanningProblem& base) {
+                   const FrontierOptions& base) {
   require(!widths.empty() && !weight_sets.empty(),
           "table 4 needs widths and weight sets");
-  FrontierOptions options;
+  FrontierOptions options = base;
   options.widths = widths;
-  options.max_powers = {base.packing.max_power};
-  options.area_model = base.area_model;
-  options.policy = base.policy;
-  options.enumeration = base.enumeration;
-  options.packing = base.packing;
+  options.cache = nullptr;
   const auto run = [&](bool exhaustive) {
     options.exhaustive = exhaustive;
     FrontierEngine engine(soc, options);

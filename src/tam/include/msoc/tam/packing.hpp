@@ -113,10 +113,11 @@ struct PackingOptions {
   /// Precomputed all-share schedule reused by the serialized fallback
   /// instead of repacking it — the merged arrangement is identical for
   /// every partition of one SOC, so callers evaluating many partitions
-  /// (plan::CostModel) pass their baseline schedule here and save nearly
-  /// half the packing work per call.  Borrowed, not owned; MUST come from
-  /// schedule_soc over the all-share partition of the same SOC, width and
-  /// options (tam_width and test count are sanity-checked).
+  /// (plan::PartitionEvaluator, plan::make_table3) pass their baseline
+  /// schedule here and save nearly half the packing work per call.
+  /// Borrowed, not owned; MUST come from schedule_soc over the all-share
+  /// partition of the same SOC, width and options (tam_width and test
+  /// count are sanity-checked).
   const Schedule* serialized_hint = nullptr;
   /// Precomputed Pareto staircases reused instead of calling
   /// wrapper::pareto_widths per digital core — bit-identical schedules,

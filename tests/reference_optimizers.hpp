@@ -2,9 +2,10 @@
 // Reference oracle for the Fig. 3 reduction: the standalone exhaustive
 // and Cost_Optimizer loops the library once shipped, kept for the
 // suites that check plan::FrontierEngine against them.  Both run
-// straight over a CostModel — no stage-1 cache, no lower-bound
-// pruning — so they are an independent restatement of the paper's
-// algorithm, not a second copy of the engine's.
+// straight over the reference CostModel (reference_cost_model.hpp) —
+// no stage-1 cache, no lower-bound pruning — so they are an
+// independent restatement of the paper's algorithm, not a second copy
+// of the engine's.
 //
 // Exhaustive: run the TAM optimizer for every sharing combination and
 // take the minimum of Eq. 2.
@@ -28,7 +29,7 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/parallel.hpp"
-#include "msoc/plan/cost_model.hpp"
+#include "reference_cost_model.hpp"
 
 namespace msoc::plan::reference {
 

@@ -37,6 +37,9 @@
 namespace msoc::plan {
 namespace {
 
+using reference::CostModel;
+using reference::PlanningProblem;
+
 constexpr std::uint64_t kSeeds = 50;
 
 soc::Soc synthetic(std::uint64_t seed, bool with_power) {

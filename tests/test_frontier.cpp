@@ -21,6 +21,8 @@ namespace msoc::plan {
 namespace {
 
 namespace fs = std::filesystem;
+using reference::CostModel;
+using reference::PlanningProblem;
 
 /// Per-process scratch dir: gtest's TempDir is plain /tmp on Linux, so
 /// concurrent suite runs (e.g. two build trees) must not share names.
@@ -249,6 +251,58 @@ TEST(Frontier, WarmCacheAnswersWithZeroEvaluations) {
     EXPECT_EQ(warm.points[i].best.test_time, cold.points[i].best.test_time);
     EXPECT_EQ(warm.points[i].t_max, cold.points[i].t_max);
   }
+}
+
+TEST(Frontier, WarmStoreMissingOnlyTheAllShareEntry) {
+  // Every combination is stored except the all-share one, whose entry
+  // is also the T_max baseline.  The cell packs that baseline fresh,
+  // takes it as the all-share combination's makespan without counting
+  // an evaluation, and records the entry again.
+  const soc::Soc soc = soc::make_p93791m();
+  const std::string digest = soc::digest_hex(soc);
+  FrontierOptions options = d695m_options({32});
+  options.exhaustive = true;
+  ResultCache memory;
+  options.cache = &memory;
+  const FrontierResult cold = FrontierEngine(soc, options).run();
+  memory.flush();
+
+  const PartitionSpace space(soc, options.weights, options.area_model,
+                             options.policy, options.enumeration);
+  const std::string fingerprint = packing_fingerprint(options.packing);
+  const auto key_of = [&](const std::string& partition_key) {
+    return ResultCache::EntryKey{32, 0.0, fingerprint, partition_key};
+  };
+  const std::string dir = fresh_dir("frontier_no_all_share");
+  {
+    ResultCache store(dir);
+    store.open(digest, soc);
+    for (const PartitionCell& cell : space.cells) {
+      if (cell.evaluation.partition == space.all_share) continue;
+      const std::optional<Cycles> time =
+          memory.lookup(digest, key_of(cell.key_packing));
+      ASSERT_TRUE(time.has_value()) << cell.evaluation.label;
+      store.record(digest, key_of(cell.key_packing), cell.evaluation.label,
+                   *time);
+    }
+    store.flush();
+  }
+
+  ResultCache warm(dir);
+  options.cache = &warm;
+  const FrontierResult result = FrontierEngine(soc, options).run();
+  ASSERT_TRUE(result.points[0].ok()) << result.points[0].error;
+  EXPECT_EQ(result.evaluations, 0);
+  EXPECT_EQ(result.cache_hits, result.points[0].total_combinations - 1);
+  EXPECT_EQ(result.points[0].t_max, cold.points[0].t_max);
+  EXPECT_EQ(result.points[0].best.test_time, cold.points[0].best.test_time);
+  EXPECT_EQ(result.points[0].best.total, cold.points[0].best.total);
+  warm.flush();
+
+  ResultCache reopened(dir);
+  reopened.open(digest);
+  EXPECT_EQ(reopened.lookup(digest, key_of(space.all_share_key_packing)),
+            std::optional<Cycles>(cold.points[0].t_max));
 }
 
 TEST(Frontier, CorruptCacheFallsBackToRecompute) {

@@ -74,9 +74,7 @@ TEST(Integration, MixedSignalD695Variant) {
 
 TEST(Integration, Table3AllShareColumnIs100Everywhere) {
   const soc::Soc soc = soc::make_p93791m();
-  plan::PlanningProblem base;
-  base.soc = &soc;
-  const plan::Table3 t3 = plan::make_table3(soc, {24, 40}, base);
+  const plan::Table3 t3 = plan::make_table3(soc, {24, 40});
   for (const plan::Table3Row& row : t3.rows) {
     if (row.wrapper_count == 1) {
       for (double c : row.c_time) EXPECT_NEAR(c, 100.0, 1e-9);

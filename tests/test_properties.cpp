@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "msoc/mswrap/sharing.hpp"
-#include "msoc/plan/cost_model.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/benchmarks.hpp"
 #include "msoc/soc/itc02.hpp"
 #include "msoc/tam/packing.hpp"
@@ -38,9 +38,7 @@ TEST_P(AllPartitionsAtWidth, EveryCombinationSchedulesAndReplaysCleanly) {
         << e.label;
     // Monotonicity: any all-share schedule is feasible for every
     // partition, and the packer races the fully-serialized arrangement,
-    // so no partition may schedule past the all-share baseline.  (This
-    // used to be a loose 1.08x bound while CostModel::evaluate silently
-    // clamped the excess; the clamp is gone, so the property is strict.)
+    // so no partition may schedule past the all-share baseline.
     EXPECT_LE(schedule.makespan(), baseline) << e.label;
   }
 }
@@ -138,33 +136,22 @@ TEST_P(MakespanMonotoneInWidth, WiderTamNeverSlower) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MakespanMonotoneInWidth,
                          ::testing::Values(3, 14, 159));
 
-TEST(CostModelProperties, CTimeIndependentOfWeights) {
+TEST(CostProperties, WinnerTotalInterpolatesBetweenExtremes) {
+  // Eq. 2 is a convex blend of C_time and C_A, so every width's winner
+  // sits between its own two terms, whatever the weights.
   const soc::Soc soc = soc::make_p93791m();
-  const mswrap::Partition pair({{0, 1}, {2}, {3}, {4}});
-
-  std::vector<double> c_times;
-  for (double w_time : {0.1, 0.5, 0.9}) {
-    plan::PlanningProblem problem;
-    problem.soc = &soc;
-    problem.tam_width = 32;
-    problem.weights = {w_time, 1.0 - w_time};
-    plan::CostModel model(problem);
-    c_times.push_back(model.evaluate(pair).c_time);
+  for (const double w_time : {0.1, 0.5, 0.9}) {
+    plan::FrontierOptions options;
+    options.widths = {24, 32, 48};
+    options.weights = {w_time, 1.0 - w_time};
+    for (const plan::FrontierPoint& point :
+         plan::FrontierEngine(soc, options).run().points) {
+      ASSERT_TRUE(point.ok()) << point.error;
+      const plan::CombinationCost& cost = point.best;
+      EXPECT_GE(cost.total, std::min(cost.c_time, cost.c_area) - 1e-9);
+      EXPECT_LE(cost.total, std::max(cost.c_time, cost.c_area) + 1e-9);
+    }
   }
-  EXPECT_DOUBLE_EQ(c_times[0], c_times[1]);
-  EXPECT_DOUBLE_EQ(c_times[1], c_times[2]);
-}
-
-TEST(CostModelProperties, TotalInterpolatesBetweenExtremes) {
-  const soc::Soc soc = soc::make_p93791m();
-  const mswrap::Partition pair({{0, 1}, {2}, {3}, {4}});
-  plan::PlanningProblem problem;
-  problem.soc = &soc;
-  problem.tam_width = 32;
-  plan::CostModel model(problem);
-  const plan::CombinationCost cost = model.evaluate(pair);
-  EXPECT_GE(cost.total, std::min(cost.c_time, cost.c_area) - 1e-9);
-  EXPECT_LE(cost.total, std::max(cost.c_time, cost.c_area) + 1e-9);
 }
 
 TEST(SharingEvaluationProperties, LbNeverExceedsTotal) {

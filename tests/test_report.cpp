@@ -40,9 +40,7 @@ TEST(Table2Report, RendersEveryTestRow) {
 
 TEST(Table3Report, StructureAndNormalization) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem base;
-  base.soc = &soc;
-  const Table3 t = make_table3(soc, {32}, base);
+  const Table3 t = make_table3(soc, {32});
   EXPECT_EQ(t.rows.size(), 26u);
   for (const Table3Row& row : t.rows) {
     ASSERT_EQ(row.c_time.size(), 1u);
@@ -59,12 +57,66 @@ TEST(Table3Report, StructureAndNormalization) {
   EXPECT_NE(text.find("spread"), std::string::npos);
 }
 
+/// The InfeasibleError `make_table3` raises for these inputs, or "" when
+/// it raises none.
+std::string table3_error(const soc::Soc& soc, const std::vector<int>& widths,
+                         const FrontierOptions& base = {}) {
+  try {
+    (void)make_table3(soc, widths, base);
+  } catch (const InfeasibleError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Table3Report, RejectsInvalidProblemsWithTypedErrors) {
+  const soc::Soc mixed = soc::make_p93791m();
+  EXPECT_EQ(table3_error(soc::make_p93791(), {32}),
+            "need at least one analog core");  // digital-only SOC
+  EXPECT_EQ(table3_error(mixed, {0}), "TAM width must be >= 1");
+  EXPECT_EQ(table3_error(mixed, {32, -4}), "TAM width must be >= 1");
+  EXPECT_EQ(table3_error(mixed, {}), "table 3 needs at least one TAM width");
+  FrontierOptions unbalanced;
+  unbalanced.weights = {0.6, 0.6};
+  EXPECT_EQ(table3_error(mixed, {32}, unbalanced),
+            "cost weights must sum to 1");
+}
+
+TEST(Table3Report, CTimeIndependentOfWeights) {
+  // C_time is Eq. 2's time term alone: the weights only blend it with
+  // the area term, so every column is identical under any weights.
+  const soc::Soc soc = soc::make_p93791m();
+  std::vector<std::vector<double>> columns;
+  for (const double w_time : {0.1, 0.5, 0.9}) {
+    FrontierOptions base;
+    base.weights = {w_time, 1.0 - w_time};
+    std::vector<double> column;
+    for (const Table3Row& row : make_table3(soc, {32}, base).rows) {
+      column.push_back(row.c_time[0]);
+    }
+    columns.push_back(std::move(column));
+  }
+  EXPECT_EQ(columns[0], columns[1]);
+  EXPECT_EQ(columns[1], columns[2]);
+}
+
+TEST(Table3Report, EveryCombinationAtOrBelowTheBaseline) {
+  // No combination packs past the all-share baseline, and the all-share
+  // row is the baseline itself: exactly 100.
+  const soc::Soc soc = soc::make_p93791m();
+  const Table3 t = make_table3(soc, {48});
+  for (const Table3Row& row : t.rows) {
+    EXPECT_LE(row.c_time[0], 100.0) << row.label;
+    if (row.wrapper_count == 1) {
+      EXPECT_EQ(row.c_time[0], 100.0);
+    }
+  }
+}
+
 TEST(Table4Report, ComparesHeuristicWithExhaustive) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem base;
-  base.soc = &soc;
   CostWeights balanced;
-  const Table4 t = make_table4(soc, {32}, {balanced}, base);
+  const Table4 t = make_table4(soc, {32}, {balanced});
   ASSERT_EQ(t.blocks.size(), 1u);
   ASSERT_EQ(t.blocks[0].rows.size(), 1u);
   const Table4Row& row = t.blocks[0].rows[0];
@@ -79,16 +131,12 @@ TEST(Table4Report, ComparesHeuristicWithExhaustive) {
 
 TEST(Table4Report, RejectsEmptyInputs) {
   const soc::Soc soc = soc::make_p93791m();
-  PlanningProblem base;
-  base.soc = &soc;
   const std::vector<CostWeights> one_weight = {CostWeights{}};
   const std::vector<CostWeights> no_weights;
   const std::vector<int> no_widths;
   const std::vector<int> one_width = {32};
-  EXPECT_THROW(make_table4(soc, no_widths, one_weight, base),
-               InfeasibleError);
-  EXPECT_THROW(make_table4(soc, one_width, no_weights, base),
-               InfeasibleError);
+  EXPECT_THROW(make_table4(soc, no_widths, one_weight), InfeasibleError);
+  EXPECT_THROW(make_table4(soc, one_width, no_weights), InfeasibleError);
 }
 
 }  // namespace
