@@ -139,19 +139,18 @@ void BM_WireWindowFree(benchmark::State& state) {
     profile.reserve(rng.uniform_u64(0, static_cast<Cycles>(n) * 10),
                     rng.uniform_u64(10, 200), rng.uniform_int(1, 12));
   }
-  tam::reset_pack_counters();
+  tam::AdmissionTally tally;
   Cycles probe = 0;
   for (auto _ : state) {
     Cycles retry = 0;
-    benchmark::DoNotOptimize(profile.window_free(probe, 8, 64, &retry));
+    benchmark::DoNotOptimize(
+        profile.window_free(probe, 8, 64, &retry, tally));
     probe = (probe + 131) % (static_cast<Cycles>(n) * 10);
   }
-  const tam::PackCounterSnapshot snap = tam::snapshot_pack_counters();
   state.counters["events_per_check"] = benchmark::Counter(
-      snap.admission_checks == 0
-          ? 0.0
-          : static_cast<double>(snap.events_visited) /
-                static_cast<double>(snap.admission_checks));
+      tally.checks == 0 ? 0.0
+                        : static_cast<double>(tally.visited) /
+                              static_cast<double>(tally.checks));
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_WireWindowFree)->RangeMultiplier(4)->Range(64, 4096)
@@ -170,19 +169,18 @@ void BM_WindowedWindowFree(benchmark::State& state) {
     profile.reserve(rng.uniform_u64(0, span), rng.uniform_u64(200, 4000),
                     rng.uniform(1.0, 10.0));
   }
-  tam::reset_pack_counters();
+  tam::AdmissionTally tally;
   Cycles probe = 0;
   for (auto _ : state) {
     Cycles retry = 0;
-    benchmark::DoNotOptimize(profile.window_free(probe, 5.0, 2048, &retry));
+    benchmark::DoNotOptimize(
+        profile.window_free(probe, 5.0, 2048, &retry, tally));
     probe = (probe + 1031) % span;
   }
-  const tam::PackCounterSnapshot snap = tam::snapshot_pack_counters();
   state.counters["events_per_check"] = benchmark::Counter(
-      snap.admission_checks == 0
-          ? 0.0
-          : static_cast<double>(snap.events_visited) /
-                static_cast<double>(snap.admission_checks));
+      tally.checks == 0 ? 0.0
+                        : static_cast<double>(tally.visited) /
+                              static_cast<double>(tally.checks));
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_WindowedWindowFree)->RangeMultiplier(4)->Range(64, 4096)

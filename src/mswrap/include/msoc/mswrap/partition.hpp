@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "msoc/soc/core.hpp"
@@ -74,6 +75,11 @@ struct EnumerationOptions {
   /// Include the all-singletons (no sharing) baseline.
   bool include_no_sharing = false;
 };
+
+/// The one message an SOC without analog cores is rejected with, by
+/// enumerate_partitions and by every planning entry point.
+inline constexpr std::string_view kNoAnalogCoreMessage =
+    "mixed-signal planning needs at least one analog core";
 
 /// Enumerates sharing combinations for `cores`.  Symmetry classes are
 /// derived from AnalogCore::tests_equivalent.  Deterministic order:

@@ -135,7 +135,7 @@ std::vector<Partition> enumerate_partitions(
     const std::vector<soc::AnalogCore>& cores,
     const EnumerationOptions& options) {
   const std::size_t n = cores.size();
-  require(n >= 1, "need at least one analog core");
+  require(n >= 1, kNoAnalogCoreMessage);
   require(n <= 12, "partition enumeration limited to 12 cores");
 
   // Equivalence classes of cores with identical test suites.

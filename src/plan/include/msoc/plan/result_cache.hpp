@@ -67,6 +67,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "msoc/common/file_lock.hpp"
@@ -263,21 +264,35 @@ class ResultCache {
     bool meta_journaled = false;
     std::uint64_t last_used = 0;  ///< LRU stamp (monotonic use tick).
   };
-  /// Parsed journal image of one digest (shard tail staging): what a
-  /// replay of the current journal generation says about the digest.
+  /// Parsed journal image of one digest: what a replay of the current
+  /// journal generation says about it.  Built on demand from the
+  /// digest's record spans, never kept.
   struct Staged {
     std::string soc_name;
     std::optional<soc::DigestInventory> inventory;
     std::map<EntryKey, Entry> entries;
   };
+  /// Where one record's payload sits in the shard journal.
+  struct RecordSpan {
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+  };
+  /// One record on its way into a shard journal.
+  struct PendingRecord {
+    std::string digest;
+    std::string payload;
+  };
   /// Per-shard scan cache: how far into the journal this process has
-  /// validated, and the staged replay image for every digest seen.
+  /// validated, and for every digest seen the byte spans of its records
+  /// in the current generation (in journal order).  Spans, not parsed
+  /// entries: a process that appends for hours keeps a few bytes per
+  /// record here, and the entries themselves only in its open stores.
   struct ShardState {
     bool scanned = false;
     bool header_bad = false;  ///< Journal header unusable (corrupt).
     std::uint64_t generation = 0;
     std::uint64_t validated = 0;  ///< Valid journal bytes [0, validated).
-    std::map<std::string, Staged> tail;
+    std::map<std::string, std::vector<RecordSpan>> tail;
     bool corrupt_counted = false;  ///< Dedup corrupt_files per journal.
     bool torn_counted = false;     ///< Dedup torn_tails per tail.
   };
@@ -291,35 +306,56 @@ class ResultCache {
   /// Merges the snapshot file of `digest` into `store` (file wins); a
   /// corrupt file loads as absent and is counted.
   void load_snapshot_locked(const std::string& digest, Store& store);
-  /// Forgets everything cached about one shard journal (tail staging,
+  /// Forgets everything cached about one shard journal (tail spans,
   /// dedup flags, the stores' meta-journaled marks) — called when the
   /// generation changes under us or the journal is reset.
   void reset_shard_locked(const std::string& shard_key, ShardState& shard);
   /// Advances the shard scan cache over `bytes` (a whole journal
-  /// file): detects generation changes, stages every newly validated
-  /// record into shard.tail, and classifies/counts the tail.
+  /// file): detects generation changes, records the span of every
+  /// newly validated record in shard.tail, and classifies/counts the
+  /// tail.  With `digest` set, also folds that digest's records — the
+  /// spans already known and the new ones, in journal order — into
+  /// *image, parsing each record once.
   void absorb_journal_locked(const std::string& shard_key, ShardState& shard,
-                             std::string_view bytes);
-  /// Parses one checksum-valid journal payload into the shard tail
-  /// (malformed payloads count as corruption and are skipped).
+                             std::string_view bytes,
+                             const std::string* digest = nullptr,
+                             Staged* image = nullptr);
+  /// Parses one checksum-valid journal payload and records its span
+  /// (malformed payloads count as corruption and are skipped).  A
+  /// record of `digest` also folds into *image.
   void apply_payload_locked(const std::string& shard_key, ShardState& shard,
-                            std::string_view payload, bool count_replayed);
-  /// Replays the shard journal under a shared file lock (no-op when
-  /// the journal does not exist; I/O errors degrade to corrupt_files).
-  void scan_shard_shared_locked(const std::string& shard_key);
-  /// Appends `payloads` to one shard journal under an exclusive lock
+                            std::string_view payload, std::uint64_t offset,
+                            const std::string* digest, Staged* image);
+  /// Parses `payload` and folds it into *image when it is a record of
+  /// `digest` (any record validates).  Returns the record's digest;
+  /// throws ParseError when malformed.
+  [[nodiscard]] std::string fold_payload(const std::string& shard_key,
+                                         std::string_view payload,
+                                         const std::string* digest,
+                                         Staged* image) const;
+  /// Folds `spans` of `digest`, read out of `journal`, into *image.
+  void fold_spans(const std::string& shard_key, const std::string& digest,
+                  const std::vector<RecordSpan>& spans,
+                  std::string_view journal, Staged* image) const;
+  /// Replays the shard journal of `digest` under a shared file lock into
+  /// *image (no-op when the journal does not exist; I/O errors degrade
+  /// to corrupt_files).
+  void scan_shard_shared_locked(const std::string& digest, Staged* image);
+  /// Appends `records` to one shard journal under an exclusive lock
   /// (validating and truncating any bad tail first), then compacts
   /// when past the threshold.  Returns true when it compacted (the
   /// appended records no longer live in the journal).
   bool append_shard_locked(const std::string& shard_key,
-                           const std::vector<std::string>& payloads);
-  /// Folds the (fully scanned) journal of `shard_key` into snapshot
-  /// files and resets the journal, under `lock` (exclusive).
+                           const std::vector<PendingRecord>& records);
+  /// Folds the (fully scanned) journal of `shard_key`, whose bytes are
+  /// `journal`, into snapshot files and resets the journal, under
+  /// `lock` (exclusive).
   void compact_shard_locked(const std::string& shard_key, ShardState& shard,
-                            FileLock& lock, CompactionStats& stats);
-  /// Merges the staged journal image for `digest` (if any) into
-  /// `store` (journal wins over file-loaded content).
-  void apply_staged_locked(const std::string& digest, Store& store);
+                            FileLock& lock, std::string_view journal,
+                            CompactionStats& stats);
+  /// Merges a digest's journal image into `store` (journal wins over
+  /// file-loaded content).
+  static void apply_staged(const Staged& staged, Store& store);
   [[nodiscard]] std::string serialize_store_locked(const std::string& digest,
                                                    const Store& store) const;
 

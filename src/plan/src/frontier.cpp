@@ -12,6 +12,7 @@
 #include "msoc/common/format.hpp"
 #include "msoc/common/json.hpp"
 #include "msoc/common/logging.hpp"
+#include "msoc/mswrap/partition.hpp"
 #include "msoc/soc/digest.hpp"
 
 namespace msoc::plan {
@@ -53,8 +54,7 @@ FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
   require(!options_.widths.empty(), "frontier needs at least one TAM width");
   require(options_.epsilon >= 0.0, "epsilon must be non-negative");
   options_.weights.validate();
-  require(soc_.analog_count() >= 1,
-          "mixed-signal planning needs at least one analog core");
+  require(soc_.analog_count() >= 1, mswrap::kNoAnalogCoreMessage);
 
   widths_ = options_.widths;
   std::sort(widths_.begin(), widths_.end());

@@ -375,38 +375,70 @@ void ResultCache::reset_shard_locked(const std::string& shard_key,
   }
 }
 
+std::string ResultCache::fold_payload(const std::string& shard_key,
+                                      std::string_view payload,
+                                      const std::string* digest,
+                                      Staged* image) const {
+  const std::string path = journal_path(shard_key);
+  const JsonValue doc = parse_json(std::string(payload), path);
+  const std::string op = doc.at("op").as_string();
+  std::string owner = doc.at("digest").as_string();
+  if (owner.empty() || shard_key_of(owner) != shard_key) {
+    throw ParseError(path, 0, "journal record digest outside its shard");
+  }
+  // Records of other digests are parsed in full all the same: that is
+  // what validates them.
+  Staged scratch;
+  Staged& into =
+      digest != nullptr && owner == *digest ? *image : scratch;
+  if (op == "entry") {
+    ParsedEntry parsed = parse_entry(doc, path);
+    into.entries.insert_or_assign(
+        std::move(parsed.key),
+        Entry{parsed.test_time, std::move(parsed.label)});
+  } else if (op == "meta") {
+    if (const JsonValue* name = doc.find("soc_name")) {
+      const std::string soc_name = name->as_string();
+      if (!soc_name.empty()) into.soc_name = soc_name;
+    }
+    if (const JsonValue* header = doc.find("inventory")) {
+      into.inventory = parse_inventory(*header, path);
+    }
+  } else {
+    throw ParseError(path, 0, "unknown journal record op");
+  }
+  return owner;
+}
+
+void ResultCache::fold_spans(const std::string& shard_key,
+                             const std::string& digest,
+                             const std::vector<RecordSpan>& spans,
+                             std::string_view journal, Staged* image) const {
+  for (const RecordSpan& span : spans) {
+    // Spans lie in the validated prefix (absorb drops them when the
+    // journal shrinks); the guard keeps substr from throwing
+    // out_of_range should that ever not hold.
+    if (span.offset + span.size > journal.size()) continue;
+    try {
+      (void)fold_payload(shard_key, journal.substr(span.offset, span.size),
+                         &digest, image);
+    } catch (const Error& e) {
+      log_debug("ignoring unreadable journal record in ",
+                journal_path(shard_key), ": ", e.what());
+    }
+  }
+}
+
 void ResultCache::apply_payload_locked(const std::string& shard_key,
                                        ShardState& shard,
                                        std::string_view payload,
-                                       bool count_replayed) {
+                                       std::uint64_t offset,
+                                       const std::string* digest,
+                                       Staged* image) {
   try {
-    const JsonValue doc =
-        parse_json(std::string(payload), journal_path(shard_key));
-    const std::string op = doc.at("op").as_string();
-    const std::string digest = doc.at("digest").as_string();
-    if (digest.empty() || shard_key_of(digest) != shard_key) {
-      throw ParseError(journal_path(shard_key), 0,
-                       "journal record digest outside its shard");
-    }
-    if (op == "entry") {
-      ParsedEntry parsed = parse_entry(doc, journal_path(shard_key));
-      shard.tail[digest].entries.insert_or_assign(
-          std::move(parsed.key),
-          Entry{parsed.test_time, std::move(parsed.label)});
-    } else if (op == "meta") {
-      Staged& staged = shard.tail[digest];
-      if (const JsonValue* name = doc.find("soc_name")) {
-        const std::string soc_name = name->as_string();
-        if (!soc_name.empty()) staged.soc_name = soc_name;
-      }
-      if (const JsonValue* header = doc.find("inventory")) {
-        staged.inventory = parse_inventory(*header, journal_path(shard_key));
-      }
-    } else {
-      throw ParseError(journal_path(shard_key), 0,
-                       "unknown journal record op");
-    }
-    if (count_replayed) ++replayed_records_;
+    const std::string owner = fold_payload(shard_key, payload, digest, image);
+    shard.tail[owner].push_back({offset, payload.size()});
+    ++replayed_records_;
   } catch (const Error& e) {
     // Checksum-valid but semantically invalid: skip the record, keep
     // replaying — one corruption count per journal generation.
@@ -421,7 +453,9 @@ void ResultCache::apply_payload_locked(const std::string& shard_key,
 
 void ResultCache::absorb_journal_locked(const std::string& shard_key,
                                         ShardState& shard,
-                                        std::string_view bytes) {
+                                        std::string_view bytes,
+                                        const std::string* digest,
+                                        Staged* image) {
   if (bytes.empty()) {
     // Fresh journal (or one lost to a crash mid-reset): nothing to
     // replay; the next appender writes a header.
@@ -458,9 +492,19 @@ void ResultCache::absorb_journal_locked(const std::string& shard_key,
   shard.scanned = true;
   shard.header_bad = false;
   shard.generation = head.generation;
+  if (digest != nullptr) {
+    // Records of `digest` this process already validated come first.
+    const auto known = shard.tail.find(*digest);
+    if (known != shard.tail.end()) {
+      fold_spans(shard_key, *digest, known->second, bytes, image);
+    }
+  }
   const JournalScan scan = scan_journal(bytes, from);
+  std::uint64_t offset = from;
   for (const std::string& payload : scan.payloads) {
-    apply_payload_locked(shard_key, shard, payload, /*count_replayed=*/true);
+    apply_payload_locked(shard_key, shard, payload,
+                         offset + kJournalRecordOverhead, digest, image);
+    offset += kJournalRecordOverhead + payload.size();
   }
   shard.validated = scan.valid_size;
   switch (scan.tail) {
@@ -484,7 +528,9 @@ void ResultCache::absorb_journal_locked(const std::string& shard_key,
   }
 }
 
-void ResultCache::scan_shard_shared_locked(const std::string& shard_key) {
+void ResultCache::scan_shard_shared_locked(const std::string& digest,
+                                           Staged* image) {
+  const std::string shard_key = shard_key_of(digest);
   ShardState& shard = shards_[shard_key];
   try {
     std::optional<FileLock> lock =
@@ -499,7 +545,7 @@ void ResultCache::scan_shard_shared_locked(const std::string& shard_key) {
       }
       return;
     }
-    absorb_journal_locked(shard_key, shard, lock->read_all());
+    absorb_journal_locked(shard_key, shard, lock->read_all(), &digest, image);
   } catch (const Error& e) {
     log_debug("cannot replay cache journal ", journal_path(shard_key), ": ",
               e.what());
@@ -510,13 +556,7 @@ void ResultCache::scan_shard_shared_locked(const std::string& shard_key) {
   }
 }
 
-void ResultCache::apply_staged_locked(const std::string& digest,
-                                      Store& store) {
-  const auto sit = shards_.find(shard_key_of(digest));
-  if (sit == shards_.end()) return;
-  const auto tit = sit->second.tail.find(digest);
-  if (tit == sit->second.tail.end()) return;
-  const Staged& staged = tit->second;
+void ResultCache::apply_staged(const Staged& staged, Store& store) {
   for (const auto& [key, entry] : staged.entries) {
     store.snapshot.insert_or_assign(key, entry);
   }
@@ -551,8 +591,9 @@ void ResultCache::open_locked(const std::string& digest,
   if (!inserted || !disk_backed()) return;
   // Layered load, the journal replay winning over the snapshot.
   load_snapshot_locked(digest, store);
-  scan_shard_shared_locked(shard_key_of(digest));
-  apply_staged_locked(digest, store);
+  Staged image;
+  scan_shard_shared_locked(digest, &image);
+  apply_staged(image, store);
 }
 
 void ResultCache::open(const std::string& digest,
@@ -605,14 +646,14 @@ void ResultCache::record(const std::string& digest, const EntryKey& key,
 }
 
 bool ResultCache::append_shard_locked(
-    const std::string& shard_key, const std::vector<std::string>& payloads) {
+    const std::string& shard_key, const std::vector<PendingRecord>& records) {
   FileLock lock = FileLock::exclusive(journal_path(shard_key));
   ShardState& shard = shards_[shard_key];
-  const std::string bytes = lock.read_all();
-  absorb_journal_locked(shard_key, shard, bytes);
+  std::string journal = lock.read_all();
+  absorb_journal_locked(shard_key, shard, journal);
   std::string out;
   std::uint64_t base = 0;
-  if (bytes.empty() || shard.header_bad) {
+  if (journal.empty() || shard.header_bad) {
     // Fresh journal, or one whose header was corrupted: (re)write the
     // header in the same synced write as the records.  A new
     // generation invalidates any offsets other processes cached
@@ -635,23 +676,24 @@ bool ResultCache::append_shard_locked(
       shard.torn_counted = false;
     }
   }
-  for (const std::string& payload : payloads) {
-    out += encode_journal_record(payload);
+  for (const PendingRecord& record : records) {
+    // Keep the journal's span index complete (an evicted store must be
+    // reassemblable from files + journal), without counting our own
+    // appends as replays.
+    shard.tail[record.digest].push_back(
+        {base + out.size() + kJournalRecordOverhead, record.payload.size()});
+    out += encode_journal_record(record.payload);
   }
   lock.write_at_and_sync(base, out);
   shard.validated = base + out.size();
-  journal_records_ += static_cast<long long>(payloads.size());
+  journal_records_ += static_cast<long long>(records.size());
   journal_bytes_ += static_cast<long long>(out.size());
-  // Keep the in-memory journal image complete (an evicted store must
-  // be reassemblable from files + tail), without counting our own
-  // appends as replays.
-  for (const std::string& payload : payloads) {
-    apply_payload_locked(shard_key, shard, payload, /*count_replayed=*/false);
-  }
   if (shard.validated >
       kJournalHeaderBytes + tuning_.compact_threshold_bytes) {
+    journal.resize(base);
+    journal += out;
     CompactionStats stats;
-    compact_shard_locked(shard_key, shard, lock, stats);
+    compact_shard_locked(shard_key, shard, lock, journal, stats);
     return true;
   }
   return false;
@@ -659,7 +701,7 @@ bool ResultCache::append_shard_locked(
 
 void ResultCache::flush() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, std::vector<std::string>> batches;
+  std::map<std::string, std::vector<PendingRecord>> batches;
   // Digests whose meta rides in this flush's batch, per shard.  The
   // meta_journaled flag is set only AFTER the append lands: the append
   // itself may reset the shard (fresh journal, bad header), and
@@ -669,15 +711,16 @@ void ResultCache::flush() {
   for (auto& [digest, store] : stores_) {
     if (store.overlay.empty()) continue;
     if (disk_backed()) {
-      std::vector<std::string>& batch = batches[shard_key_of(digest)];
+      std::vector<PendingRecord>& batch = batches[shard_key_of(digest)];
       if (!store.meta_journaled) {
-        batch.push_back(meta_payload(digest, store.soc_name,
-                                     store.inventory));
+        batch.push_back(
+            {digest, meta_payload(digest, store.soc_name, store.inventory)});
         meta_digests[shard_key_of(digest)].push_back(digest);
       }
       for (const auto& [key, entry] : store.overlay) {
         batch.push_back(
-            entry_payload(digest, key, entry.label, entry.test_time));
+            {digest, entry_payload(digest, key, entry.label,
+                                   entry.test_time)});
       }
     }
     for (auto& [key, entry] : store.overlay) {
@@ -699,10 +742,13 @@ void ResultCache::flush() {
 
 void ResultCache::compact_shard_locked(const std::string& shard_key,
                                        ShardState& shard, FileLock& lock,
+                                       std::string_view journal,
                                        CompactionStats& stats) {
-  // Precondition: the journal is fully absorbed (tail is the complete
-  // replay image of the current generation) and `lock` is exclusive.
-  for (const auto& [digest, staged] : shard.tail) {
+  // Precondition: the journal is fully absorbed (tail indexes every
+  // record of the current generation) and `lock` is exclusive.
+  for (const auto& [digest, spans] : shard.tail) {
+    Staged staged;
+    fold_spans(shard_key, digest, spans, journal, &staged);
     // Assemble from ALL durable layers, not just what this process has
     // in memory: a CONCURRENT compactor may have folded records we
     // never saw (appended after our open, compacted before our rescan)
@@ -790,12 +836,15 @@ CompactionStats ResultCache::compact() {
   }
   for (const std::string& shard_key : shard_keys) {
     try {
-      FileLock journal = FileLock::exclusive(journal_path(shard_key));
+      FileLock lock = FileLock::exclusive(journal_path(shard_key));
       ShardState& shard = shards_[shard_key];
-      absorb_journal_locked(shard_key, shard, journal.read_all());
+      const std::string journal = lock.read_all();
+      absorb_journal_locked(shard_key, shard, journal);
       const bool pristine = shard.tail.empty() && !shard.header_bad &&
-                            shard.validated == journal.size();
-      if (!pristine) compact_shard_locked(shard_key, shard, journal, stats);
+                            shard.validated == lock.size();
+      if (!pristine) {
+        compact_shard_locked(shard_key, shard, lock, journal, stats);
+      }
     } catch (const Error& e) {
       log_warn("cannot compact cache shard ", shard_dir(shard_key), ": ",
                e.what());

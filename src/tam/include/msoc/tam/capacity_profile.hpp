@@ -49,13 +49,14 @@ class CapacityProfile {
 
   /// True when the level stays within capacity with `load` added over
   /// [start, start+duration).  On failure *retry_at is the first later
-  /// segment whose level admits `load`.
+  /// segment whose level admits `load`.  The check counts into `tally`.
   [[nodiscard]] bool window_free(Cycles start, Load load, Cycles duration,
-                                 Cycles* retry_at) const {
+                                 Cycles* retry_at,
+                                 AdmissionTally& tally) const {
     std::uint64_t visited = 0;
     const bool free =
         window_free_impl(start, load, duration, retry_at, &visited);
-    count_admission(free, visited);
+    tally.count(free, visited);
     return free;
   }
 

@@ -27,15 +27,27 @@ struct PackCounters {
 /// The process-global counter block.
 [[nodiscard]] PackCounters& pack_counters() noexcept;
 
-/// Records one admission check that walked `visited` skyline segments
-/// (a failed check is also a retry).  Every admission kernel counts
-/// through here.
-inline void count_admission(bool free, std::uint64_t visited) noexcept {
-  PackCounters& counters = pack_counters();
-  counters.admission_checks.fetch_add(1, std::memory_order_relaxed);
-  counters.events_visited.fetch_add(visited, std::memory_order_relaxed);
-  if (!free) counters.retries.fetch_add(1, std::memory_order_relaxed);
-}
+/// Plain per-probe admission counts.  Every admission kernel counts
+/// into the caller's tally (no shared-memory traffic per check);
+/// publish() then adds the whole probe to the process-global block in
+/// one go, so PackTimeline's fixpoint pays the atomics once per probe
+/// rather than once per check.
+struct AdmissionTally {
+  std::uint64_t checks = 0;   ///< window_free calls.
+  std::uint64_t visited = 0;  ///< skyline segments walked.
+  std::uint64_t retries = 0;  ///< failed admission checks.
+
+  /// Records one admission check that walked `walked` skyline segments
+  /// (a failed check is also a retry).
+  void count(bool free, std::uint64_t walked) noexcept {
+    ++checks;
+    visited += walked;
+    if (!free) ++retries;
+  }
+
+  /// Adds the tally to pack_counters().
+  void publish() const noexcept;
+};
 
 /// A plain-value copy for reporting and differencing.
 struct PackCounterSnapshot {

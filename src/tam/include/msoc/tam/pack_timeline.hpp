@@ -41,22 +41,28 @@ class PackTimeline {
   /// and fits the wires, the peak budget and the window budget (checked
   /// in that order; any failure restarts the sequence from its retry
   /// time).  A blocked-set rejection counts as a failed wire admission
-  /// check, since the wire check is what the blocked set guards.  Not
+  /// check, since the wire check is what the blocked set guards.  The
+  /// whole probe counts into one local tally, published once.  Not
   /// const: the window check reuses the timeline's scratch buffers.
   [[nodiscard]] Cycles earliest_feasible(int width, double power,
                                          Cycles duration,
                                          const IntervalSet& blocked,
                                          Cycles not_before = 0) {
+    AdmissionTally tally;
     Cycles candidate = not_before;
     while (true) {
       Cycles retry = blocked.first_fit(candidate, duration);
       if (retry != candidate) {
-        count_admission(false, 0);
-      } else if (wires_.window_free(candidate, width, duration, &retry) &&
+        tally.count(false, 0);
+      } else if (wires_.window_free(candidate, width, duration, &retry,
+                                    tally) &&
                  (!peak_.has_value() ||
-                  peak_->window_free(candidate, power, duration, &retry)) &&
+                  peak_->window_free(candidate, power, duration, &retry,
+                                     tally)) &&
                  (!window_.has_value() ||
-                  window_->window_free(candidate, power, duration, &retry))) {
+                  window_->window_free(candidate, power, duration, &retry,
+                                       tally))) {
+        tally.publish();
         return candidate;
       }
       check_invariant(retry > candidate, "packer failed to advance");

@@ -1,22 +1,29 @@
 #pragma once
 // Piecewise-constant load envelope ("skyline") over the schedule
-// timeline: an ordered map segment-start -> level, coalesced so no
-// segment repeats its predecessor's level.  The level before the first
-// segment is Load{}; the last segment's level extends to infinity and —
-// because reservations are finite — is always Load{} once everything
-// drains.
+// timeline: one flat vector of (segment-start, level) pairs sorted by
+// start, coalesced so no segment repeats its predecessor's level.  The
+// level before the first segment is Load{}; the last segment's level
+// extends to infinity and — because reservations are finite — is always
+// Load{} once everything drains.
 //
 // This replaces the delta-map (time -> +/- load) the profiles used to
 // keep: a delta map answers "load at t" only by summing every delta from
 // the beginning (O(n) per admission probe), while the skyline answers it
-// with one ordered lookup (O(log n)) and walks only the segments a
-// window actually crosses.  Levels are maintained incrementally on
-// insert, so for integer loads they are bit-identical to the delta-map
-// prefix sums; for floating-point loads they differ by at most the usual
+// with one binary search (O(log n)) and walks only the segments a
+// window actually crosses — contiguously, which is what the admission
+// kernels spend their time doing.  An add() shifts the tail of the
+// vector for at most two new and two coalesced boundaries; the packer
+// probes far more often than it reserves, so the flat layout wins over
+// a node-based map.  Levels are maintained incrementally on insert, so
+// for integer loads they are bit-identical to the delta-map prefix
+// sums; for floating-point loads they differ by at most the usual
 // reassociation ulps, which the profiles' slack already absorbs.
 
+#include <algorithm>
 #include <cstddef>
-#include <map>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/units.hpp"
@@ -26,19 +33,21 @@ namespace msoc::tam {
 template <typename Load>
 class Skyline {
  public:
-  using Map = std::map<Cycles, Load>;
-  using const_iterator = typename Map::const_iterator;
+  using Segment = std::pair<Cycles, Load>;  ///< (start, level).
+  using const_iterator = typename std::vector<Segment>::const_iterator;
 
   /// Adds `amount` of load over [start, end).  O(log n + segments the
-  /// range crosses); segment boundaries are created on demand and
-  /// re-coalesced at both edges.
+  /// range crosses + the tail shifted by new or coalesced boundaries).
   void add(Cycles start, Cycles end, Load amount) {
     check_invariant(start < end, "skyline segment must be non-empty");
-    auto hi = boundary(end);    // keeps the pre-add level past `end`
-    auto lo = boundary(start);  // copies the level reaching `start`
-    for (auto it = lo; it != hi; ++it) it->second += amount;
+    // `start` first: its insertion sits before `end`'s, so neither
+    // index moves under the other.
+    const std::size_t lo = boundary(start);  // copies the level at start
+    const std::size_t hi = boundary(end);    // keeps the pre-add level
+    for (std::size_t i = lo; i < hi; ++i) level_[i].second += amount;
     // Adding one amount across the whole range preserves every interior
     // level difference; only the two edges can newly equal a neighbor.
+    // `hi` first, so erasing it leaves `lo` in place.
     coalesce(hi);
     coalesce(lo);
   }
@@ -53,7 +62,11 @@ class Skyline {
   /// Last segment starting at or before t; end() when t precedes every
   /// segment (implicit Load{} level).
   [[nodiscard]] const_iterator floor(Cycles t) const {
-    auto it = level_.upper_bound(t);
+    const auto it = std::upper_bound(
+        level_.begin(), level_.end(), t,
+        [](Cycles time, const Segment& segment) {
+          return time < segment.first;
+        });
     if (it == level_.begin()) return level_.end();
     return std::prev(it);
   }
@@ -77,27 +90,31 @@ class Skyline {
   }
 
  private:
-  using iterator = typename Map::iterator;
-
-  /// Iterator to the segment starting exactly at t, creating it (with
-  /// the level already reaching t) when absent.
-  iterator boundary(Cycles t) {
-    auto it = level_.lower_bound(t);
-    if (it != level_.end() && it->first == t) return it;
-    const Load level =
-        it == level_.begin() ? Load{} : std::prev(it)->second;
-    return level_.emplace_hint(it, t, level);
+  /// Index of the segment starting exactly at t, creating it (with the
+  /// level already reaching t) when absent.
+  std::size_t boundary(Cycles t) {
+    const auto it = std::lower_bound(
+        level_.begin(), level_.end(), t,
+        [](const Segment& segment, Cycles time) {
+          return segment.first < time;
+        });
+    const auto index = static_cast<std::size_t>(it - level_.begin());
+    if (it != level_.end() && it->first == t) return index;
+    const Load level = index == 0 ? Load{} : level_[index - 1].second;
+    level_.emplace(it, t, level);
+    return index;
   }
 
-  /// Erases the segment when it no longer changes the level.
-  void coalesce(iterator it) {
-    if (it == level_.end()) return;
-    const Load prev_level =
-        it == level_.begin() ? Load{} : std::prev(it)->second;
-    if (it->second == prev_level) level_.erase(it);
+  /// Erases segment `i` when it no longer changes the level.
+  void coalesce(std::size_t i) {
+    if (i >= level_.size()) return;
+    const Load prev_level = i == 0 ? Load{} : level_[i - 1].second;
+    if (level_[i].second == prev_level) {
+      level_.erase(level_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
   }
 
-  Map level_;
+  std::vector<Segment> level_;
 };
 
 }  // namespace msoc::tam

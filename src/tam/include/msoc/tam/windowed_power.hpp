@@ -10,10 +10,13 @@
 // w, with breakpoints exactly where w or w+W crosses a breakpoint of
 // the (existing + candidate) signal.  Its maximum over the candidate's
 // span is therefore attained at one of O(segments crossed) candidate
-// window starts, each evaluated in O(log k) against a prefix-integral
-// table built from the segments the span actually touches — windows
-// wholly before or after the candidate are already satisfied by the
-// profile's invariant and are never visited.
+// window starts.  The check builds a prefix-integral table from the
+// segments the span actually touches — windows wholly before or after
+// the candidate are already satisfied by the profile's invariant and
+// are never visited — then walks the candidates in ascending order as
+// a merge of already-sorted streams (for_each_window_start), reading
+// each window's integral off the table with two forward cursors: no
+// sort, no binary search.
 //
 // Same retry-time contract as CapacityProfile: on failure report a
 // strictly later start worth probing (the next load breakpoint, or one
@@ -22,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "msoc/common/error.hpp"
@@ -31,6 +35,46 @@
 #include "msoc/tam/skyline.hpp"
 
 namespace msoc::tam {
+
+/// Visits, in ascending order and each exactly once, every window
+/// start in [lo, end) at which the sliding W-cycle integral can kink for
+/// a candidate over [start, end): each breakpoint t of `times` as a
+/// window start and as a window end (t - W), plus `start` and end - W —
+/// stopping at the first start `visit` rejects.  `times` is the
+/// strictly ascending clipped table window_free builds: times[0] = lo
+/// (start - W, or 0 when start < W) and every t < end + W.
+///
+/// The set is the merge of two already-sorted streams, so no sort:
+///   A: t in [lo, end), with `start` merged in;
+///   B: t - W for t >= lo + W (t < end + W puts t - W below end), with
+///      end - W merged in when end >= W (it is then >= lo).
+/// start - W needs no stream of its own: when start >= W it is lo.
+/// Returns false when `visit` rejected a start.
+template <typename Visit>
+[[nodiscard]] bool for_each_window_start(const std::vector<Cycles>& times,
+                                         Cycles start, Cycles end,
+                                         Cycles window, Visit&& visit) {
+  constexpr Cycles kNone = std::numeric_limits<Cycles>::max();
+  const std::size_t n = times.size();
+  const Cycles lo = times.front();
+  std::size_t a = 0;
+  std::size_t b = 0;
+  while (b < n && times[b] < lo + window) ++b;
+  Cycles start_pending = start < end ? start : kNone;
+  Cycles end_pending = end >= window ? end - window : kNone;
+  while (true) {
+    const Cycles from_a = a < n && times[a] < end ? times[a] : kNone;
+    const Cycles from_b = b < n ? times[b] - window : kNone;
+    const Cycles w = std::min({from_a, start_pending, from_b, end_pending});
+    if (w == kNone) return true;
+    // Consume w from every stream that holds it: the de-duplication.
+    if (from_a == w) ++a;
+    if (start_pending == w) start_pending = kNone;
+    if (from_b == w) ++b;
+    if (end_pending == w) end_pending = kNone;
+    if (!visit(w)) return false;
+  }
+}
 
 class WindowedPowerProfile {
  public:
@@ -58,15 +102,16 @@ class WindowedPowerProfile {
 
   /// True when every window overlapping [start, start+duration) stays
   /// within budget with a `power` load added over that span.  On
-  /// failure *retry_at is a strictly later start worth probing.  Not
-  /// const: the check builds its segment table in the profile's scratch
-  /// buffers, so a warm profile allocates nothing per check.
+  /// failure *retry_at is a strictly later start worth probing.  The
+  /// check counts into `tally`.  Not const: the check builds its
+  /// segment table in the profile's scratch buffers, so a warm profile
+  /// allocates nothing per check.
   [[nodiscard]] bool window_free(Cycles start, double power, Cycles duration,
-                                 Cycles* retry_at) {
+                                 Cycles* retry_at, AdmissionTally& tally) {
     std::uint64_t visited = 0;
     const bool free =
         window_free_impl(start, power, duration, retry_at, &visited);
-    count_admission(free, visited);
+    tally.count(free, visited);
     return free;
   }
 
@@ -115,48 +160,32 @@ class WindowedPowerProfile {
       times.push_back(it->first);
       levels.push_back(it->second);
     }
-    // Existing-load integral from lo to x (x inside the clipped span).
-    const auto integral_to = [&](Cycles x) {
-      const auto seg = std::upper_bound(times.begin(), times.end(), x);
-      const std::size_t i =
-          static_cast<std::size_t>(seg - times.begin()) - 1;
-      return prefix[i] + levels[i] * static_cast<double>(x - times[i]);
+    const std::size_t n = times.size();
+    // Existing-load integral from lo to x, for x at or past the segment
+    // under cursor *i (x < span_end).  Window starts ascend, so each of
+    // the two cursors (window start, window end) only moves forward.
+    const auto integral_to = [&](Cycles x, std::size_t* i) {
+      while (*i + 1 < n && times[*i + 1] <= x) ++*i;
+      return prefix[*i] + levels[*i] * static_cast<double>(x - times[*i]);
     };
-
-    // Candidate window starts: every point where the sliding integral
-    // can kink — each breakpoint of the combined signal, as a window
-    // start and as a window end — clamped into [lo, end).
-    std::vector<Cycles>& starts = starts_;
-    starts.clear();
-    const auto push = [&](Cycles w) {
-      if (w >= lo && w < end) starts.push_back(w);
-    };
-    push(lo);
-    const auto push_edges = [&](Cycles t) {
-      push(t);
-      if (t >= window_) push(t - window_);
-    };
-    for (const Cycles t : times) push_edges(t);
-    push_edges(start);
-    push_edges(end);
-    std::sort(starts.begin(), starts.end());
-    starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
-
-    for (const Cycles w : starts) {
-      const Cycles w_end = w + window_;
-      const double existing = integral_to(w_end) - integral_to(w);
-      const Cycles overlap_lo = std::max(w, start);
-      const Cycles overlap_hi = std::min(w_end, end);
-      const double added =
-          overlap_hi > overlap_lo
-              ? power * static_cast<double>(overlap_hi - overlap_lo)
-              : 0.0;
-      if (existing + added > budget_ + slack_) {
-        *retry_at = next_retry(start, visited);
-        return false;
-      }
-    }
-    return true;
+    std::size_t at_w = 0;
+    std::size_t at_w_end = 0;
+    const bool fits = for_each_window_start(
+        times, start, end, window_, [&](Cycles w) {
+          const Cycles w_end = w + window_;
+          const double existing =
+              integral_to(w_end, &at_w_end) - integral_to(w, &at_w);
+          const Cycles overlap_lo = std::max(w, start);
+          const Cycles overlap_hi = std::min(w_end, end);
+          const double added =
+              overlap_hi > overlap_lo
+                  ? power * static_cast<double>(overlap_hi - overlap_lo)
+                  : 0.0;
+          const bool over = existing + added > budget_ + slack_;
+          return !over;
+        });
+    if (!fits) *retry_at = next_retry(start, visited);
+    return fits;
   }
 
   /// Strictly-later retry start: the next load breakpoint after
@@ -182,12 +211,11 @@ class WindowedPowerProfile {
   double slack_;
   Cycles drain_end_ = 0;  ///< End of the last reservation.
   Skyline<double> load_;
-  // window_free's clipped segment table and candidate window starts,
-  // kept between checks for their capacity only.
+  // window_free's clipped segment table, kept between checks for its
+  // capacity only.
   std::vector<Cycles> times_;
   std::vector<double> levels_;
   std::vector<double> prefix_;
-  std::vector<Cycles> starts_;
 };
 
 }  // namespace msoc::tam

@@ -7,6 +7,13 @@ PackCounters& pack_counters() noexcept {
   return counters;
 }
 
+void AdmissionTally::publish() const noexcept {
+  PackCounters& counters = pack_counters();
+  counters.admission_checks.fetch_add(checks, std::memory_order_relaxed);
+  counters.events_visited.fetch_add(visited, std::memory_order_relaxed);
+  counters.retries.fetch_add(retries, std::memory_order_relaxed);
+}
+
 PackCounterSnapshot snapshot_pack_counters() noexcept {
   const PackCounters& c = pack_counters();
   PackCounterSnapshot s;

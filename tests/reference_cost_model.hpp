@@ -15,6 +15,7 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/mswrap/area_model.hpp"
+#include "msoc/mswrap/partition.hpp"
 #include "msoc/mswrap/sharing.hpp"
 #include "msoc/plan/cost_model.hpp"
 #include "msoc/soc/soc.hpp"
@@ -36,8 +37,7 @@ struct PlanningProblem {
   void validate() const {
     require(soc != nullptr, "planning problem needs an SOC");
     require(tam_width >= 1, "TAM width must be >= 1");
-    require(soc->analog_count() >= 1,
-            "mixed-signal planning needs at least one analog core");
+    require(soc->analog_count() >= 1, mswrap::kNoAnalogCoreMessage);
     weights.validate();
   }
 };

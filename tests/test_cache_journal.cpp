@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,9 @@
 #include "msoc/common/fileio.hpp"
 #include "msoc/common/journal.hpp"
 #include "msoc/plan/result_cache.hpp"
+#include "msoc/soc/benchmarks.hpp"
+#include "msoc/soc/delta.hpp"
+#include "msoc/soc/digest.hpp"
 
 namespace msoc::plan {
 namespace {
@@ -466,6 +470,64 @@ TEST(CacheJournal, LruEvictsOnlyCleanStoresAtTheBound) {
   cache.open("aa00000000000001");
   EXPECT_TRUE(
       cache.lookup("aa00000000000001", key_of(16, 0.0, 0)).has_value());
+}
+
+TEST(CacheJournal, EvictedStoresReassembleFromTheJournal) {
+  // Many flushed digests through a two-store cache: most stores are
+  // evicted, and their records live only in the shard journals (several
+  // digests share a shard).  Re-opening each must bring back every
+  // record and the inventory its meta record carries.
+  const std::string dir = fresh_dir("evict_many");
+  CacheTuning tuning;
+  tuning.max_open_stores = 2;
+  ResultCache cache(dir, tuning);
+  constexpr int kSocs = 72;
+  constexpr int kKeys = 5;
+  std::vector<std::string> digests;
+  std::vector<soc::DigestInventory> inventories;
+  for (int i = 0; i < kSocs; ++i) {
+    soc::SyntheticSocParams params;
+    params.digital_cores = 3;
+    params.analog_cores = 1;
+    params.seed = 500 + static_cast<std::uint64_t>(i);
+    const soc::Soc s = soc::make_synthetic_soc(params);
+    digests.push_back(soc::digest_hex(s));
+    inventories.push_back(soc::digest_inventory(s));
+    cache.open(digests.back(), s);
+    for (int k = 0; k < kKeys; ++k) {
+      cache.record(digests.back(), key_of(8 + k, 0.0, i),
+                   "lbl", static_cast<Cycles>(1000 * i + k + 1));
+    }
+    cache.flush();
+  }
+  EXPECT_GE(cache.evictions(), kSocs - 2);
+  std::set<std::string> shards;
+  for (const std::string& digest : digests) shards.insert(digest.substr(0, 2));
+  EXPECT_LT(shards.size(), digests.size());  // some shards hold several
+  for (int i = 0; i < kSocs; ++i) {
+    cache.open(digests[static_cast<std::size_t>(i)]);
+    for (int k = 0; k < kKeys; ++k) {
+      const auto hit =
+          cache.lookup(digests[static_cast<std::size_t>(i)],
+                       key_of(8 + k, 0.0, i));
+      ASSERT_TRUE(hit.has_value()) << "soc " << i << " key " << k;
+      EXPECT_EQ(*hit, static_cast<Cycles>(1000 * i + k + 1));
+    }
+    // Keys recorded for other digests never leak into this store.
+    EXPECT_FALSE(cache
+                     .lookup(digests[static_cast<std::size_t>(i)],
+                             key_of(8, 0.0, (i + 1) % kSocs))
+                     .has_value());
+    const auto inventory =
+        cache.inventory(digests[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(inventory.has_value()) << "soc " << i;
+    const soc::DigestInventory& want =
+        inventories[static_cast<std::size_t>(i)];
+    EXPECT_EQ(inventory->digital, want.digital) << "soc " << i;
+    EXPECT_EQ(inventory->analog, want.analog) << "soc " << i;
+    EXPECT_EQ(inventory->max_power, want.max_power) << "soc " << i;
+  }
+  EXPECT_EQ(cache.corrupt_files(), 0);
 }
 
 }  // namespace

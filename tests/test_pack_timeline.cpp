@@ -38,8 +38,19 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
+// GCC inlines these replacements into std::allocator call sites and
+// then reports the malloc/free pair as a new/delete mismatch.  A
+// replacement operator new may allocate with malloc, so the pair is
+// correct and the warning is a false positive here.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace msoc::tam {
 namespace {

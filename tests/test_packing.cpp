@@ -302,15 +302,16 @@ TEST(CapacityProfileRetry, WindowAndRetrySemantics) {
   profile.reserve(0, 50, 70.0);
   profile.reserve(50, 50, 40.0);
   Cycles retry = 0;
+  AdmissionTally tally;
   // 70 + 40 > 100 before t=50; from 50 only 40 is drawn.
-  EXPECT_FALSE(profile.window_free(0, 40.0, 10, &retry));
+  EXPECT_FALSE(profile.window_free(0, 40.0, 10, &retry, tally));
   EXPECT_EQ(retry, 50u);
-  EXPECT_TRUE(profile.window_free(50, 40.0, 10, &retry));
+  EXPECT_TRUE(profile.window_free(50, 40.0, 10, &retry, tally));
   // A window straddling the 70->40 step fails until the step.
   retry = 0;
-  EXPECT_FALSE(profile.window_free(40, 60.0, 20, &retry));
+  EXPECT_FALSE(profile.window_free(40, 60.0, 20, &retry, tally));
   EXPECT_EQ(retry, 50u);
-  EXPECT_TRUE(profile.window_free(100, 100.0, 10, &retry));
+  EXPECT_TRUE(profile.window_free(100, 100.0, 10, &retry, tally));
 }
 
 TEST(CapacityProfileRetry, ExactBudgetLoadFitsAfterDrain) {
@@ -321,7 +322,8 @@ TEST(CapacityProfileRetry, ExactBudgetLoadFitsAfterDrain) {
     profile.reserve(static_cast<Cycles>(i), 1, 0.1 + i * 0.001);
   }
   Cycles retry = 0;
-  EXPECT_TRUE(profile.window_free(200, 100.0, 10, &retry));
+  AdmissionTally tally;
+  EXPECT_TRUE(profile.window_free(200, 100.0, 10, &retry, tally));
 }
 
 // --- Power-constrained packing end to end. ---
@@ -414,24 +416,26 @@ TEST(WindowedPowerRetry, RetryAdvancesToTheNextBreakpoint) {
   WindowedPowerProfile p(10, 5.0);
   p.reserve(0, 10, 5.0);  // saturates every window touching [0, 10)
   Cycles retry = 0;
-  EXPECT_FALSE(p.window_free(3, 5.0, 5, &retry));
+  AdmissionTally tally;
+  EXPECT_FALSE(p.window_free(3, 5.0, 5, &retry, tally));
   EXPECT_EQ(retry, 10u);
   // From the breakpoint every straddling window sums to exactly the
   // budget: admitted (within slack), like the peak profile's exact fit.
-  EXPECT_TRUE(p.window_free(10, 5.0, 5, &retry));
+  EXPECT_TRUE(p.window_free(10, 5.0, 5, &retry, tally));
 }
 
 TEST(WindowedPowerRetry, RetryJumpsPastTheDrainWhenBreakpointsRunOut) {
   WindowedPowerProfile p(10, 5.0);
   p.reserve(0, 10, 5.0);
   Cycles retry = 0;
+  AdmissionTally tally;
   // A short hot burst (admissible alone: 10*4 = 40 <= 50) fails at a
   // start past the last load breakpoint — the only remaining probe is
   // one full window past the drain, where no window mixes it with the
   // old load.
-  EXPECT_FALSE(p.window_free(11, 10.0, 4, &retry));
+  EXPECT_FALSE(p.window_free(11, 10.0, 4, &retry, tally));
   EXPECT_EQ(retry, 20u);  // drain end (10) + window (10)
-  EXPECT_TRUE(p.window_free(20, 10.0, 4, &retry));
+  EXPECT_TRUE(p.window_free(20, 10.0, 4, &retry, tally));
 }
 
 TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
@@ -469,7 +473,8 @@ TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
       worst = std::max(worst, integral);
     }
     Cycles retry = 0;
-    const bool free = p.window_free(start, power, duration, &retry);
+    AdmissionTally tally;
+    const bool free = p.window_free(start, power, duration, &retry, tally);
     EXPECT_EQ(free, worst <= kBudget + 1e-6) << "placement " << i;
     if (free) {
       p.reserve(start, duration, power);

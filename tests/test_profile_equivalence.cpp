@@ -165,7 +165,8 @@ bool wires_free(const CapacityProfile<long long>& wires,
     *retry_at = clear;
     return false;
   }
-  return wires.window_free(start, width, duration, retry_at);
+  AdmissionTally tally;
+  return wires.window_free(start, width, duration, retry_at, tally);
 }
 
 TEST(ProfileEquivalence, WireProfileMatchesDeltaMapOnRandomWorkloads) {
@@ -191,8 +192,9 @@ TEST(ProfileEquivalence, WireProfileMatchesDeltaMapOnRandomWorkloads) {
       const int width = rng.uniform_int(1, capacity);
       Cycles new_retry = 0;
       Cycles old_retry = 0;
+      AdmissionTally tally;
       const bool new_free =
-          skyline.window_free(start, width, duration, &new_retry);
+          skyline.window_free(start, width, duration, &new_retry, tally);
       const bool old_free =
           reference.window_free(start, width, duration, {}, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -277,8 +279,9 @@ TEST(ProfileEquivalence, PeakProfileMatchesDeltaMapOnDyadicLoads) {
       const Cycles duration = rng.uniform_u64(1, 80);
       Cycles new_retry = 0;
       Cycles old_retry = 0;
+      AdmissionTally tally;
       const bool new_free =
-          skyline.window_free(start, power, duration, &new_retry);
+          skyline.window_free(start, power, duration, &new_retry, tally);
       const bool old_free =
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -312,8 +315,9 @@ TEST(ProfileEquivalence, PeakProfileMatchesDeltaMapOnArbitraryLoads) {
       const Cycles duration = rng.uniform_u64(1, 60);
       Cycles new_retry = 0;
       Cycles old_retry = 0;
+      AdmissionTally tally;
       const bool new_free =
-          skyline.window_free(start, power, duration, &new_retry);
+          skyline.window_free(start, power, duration, &new_retry, tally);
       const bool old_free =
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)

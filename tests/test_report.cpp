@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "msoc/common/error.hpp"
+#include <string>
 
+#include "msoc/common/error.hpp"
+#include "msoc/mswrap/partition.hpp"
+#include "msoc/plan/frontier.hpp"
 #include "msoc/soc/benchmarks.hpp"
 
 namespace msoc::plan {
@@ -71,8 +74,18 @@ std::string table3_error(const soc::Soc& soc, const std::vector<int>& widths,
 
 TEST(Table3Report, RejectsInvalidProblemsWithTypedErrors) {
   const soc::Soc mixed = soc::make_p93791m();
-  EXPECT_EQ(table3_error(soc::make_p93791(), {32}),
-            "need at least one analog core");  // digital-only SOC
+  // A digital-only SOC: make_table3 (which enumerates partitions first)
+  // and FrontierEngine reject it with one and the same message.
+  const std::string digital_only = table3_error(soc::make_p93791(), {32});
+  EXPECT_EQ(digital_only, mswrap::kNoAnalogCoreMessage);
+  FrontierOptions one_width;
+  one_width.widths = {32};
+  try {
+    const FrontierEngine engine(soc::make_p93791(), one_width);
+    ADD_FAILURE() << "FrontierEngine accepted a digital-only SOC";
+  } catch (const InfeasibleError& e) {
+    EXPECT_EQ(std::string(e.what()), digital_only);
+  }
   EXPECT_EQ(table3_error(mixed, {0}), "TAM width must be >= 1");
   EXPECT_EQ(table3_error(mixed, {32, -4}), "TAM width must be >= 1");
   EXPECT_EQ(table3_error(mixed, {}), "table 3 needs at least one TAM width");
