@@ -5,15 +5,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "msoc/common/rng.hpp"
 #include "msoc/dsp/fft.hpp"
 #include "msoc/dsp/goertzel.hpp"
 #include "msoc/dsp/multitone.hpp"
 #include "msoc/mswrap/partition.hpp"
 #include "msoc/soc/benchmarks.hpp"
-#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/counters.hpp"
 #include "msoc/tam/interval_set.hpp"
+#include "msoc/tam/pack_timeline.hpp"
 #include "msoc/tam/packing.hpp"
 #include "msoc/tam/skyline.hpp"
 #include "msoc/tam/windowed_power.hpp"
@@ -126,7 +128,7 @@ void BM_SkylineAdd(benchmark::State& state) {
 BENCHMARK(BM_SkylineAdd)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oNLogN);
 
-// The packer's admission probe against a populated wire profile,
+// The packer's admission probe against a populated wire skyline,
 // reported with the deterministic per-op counter (skyline events per
 // check) so the number CI gates on is visible right next to the wall
 // time.
@@ -134,17 +136,18 @@ void BM_WireWindowFree(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   constexpr int kCapacity = 32;
   Rng rng(static_cast<std::uint64_t>(n) + 3);
-  tam::CapacityProfile<long long> profile(kCapacity);
+  tam::Skyline<long long> wires;
   for (int i = 0; i < n; ++i) {
-    profile.reserve(rng.uniform_u64(0, static_cast<Cycles>(n) * 10),
-                    rng.uniform_u64(10, 200), rng.uniform_int(1, 12));
+    const Cycles start = rng.uniform_u64(0, static_cast<Cycles>(n) * 10);
+    wires.add(start, start + rng.uniform_u64(10, 200),
+              rng.uniform_int(1, 12));
   }
   tam::AdmissionTally tally;
   Cycles probe = 0;
   for (auto _ : state) {
     Cycles retry = 0;
     benchmark::DoNotOptimize(
-        profile.window_free(probe, 8, 64, &retry, tally));
+        tam::capacity_free(wires, kCapacity, probe, 8, 64, &retry, tally));
     probe = (probe + 131) % (static_cast<Cycles>(n) * 10);
   }
   state.counters["events_per_check"] = benchmark::Counter(
@@ -156,25 +159,29 @@ void BM_WireWindowFree(benchmark::State& state) {
 BENCHMARK(BM_WireWindowFree)->RangeMultiplier(4)->Range(64, 4096)
     ->Complexity(benchmark::oLogN);
 
-// The same probe against a populated sliding-window power profile, in
+// The same probe against a populated power skyline's window check, in
 // the scale ladder's shape: a 4096-cycle window, tests of power 1-10
 // under a sustained limit of 18, about 3 units of load on average.
 void BM_WindowedWindowFree(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   constexpr Cycles kWindow = 4096;
   Rng rng(static_cast<std::uint64_t>(n) + 4);
-  tam::WindowedPowerProfile profile(kWindow, 18.0);
+  tam::WindowedPowerProfile check(kWindow, 18.0);
+  tam::Skyline<double> power;
+  Cycles drain_end = 0;
   const Cycles span = static_cast<Cycles>(n) * kWindow;
   for (int i = 0; i < n; ++i) {
-    profile.reserve(rng.uniform_u64(0, span), rng.uniform_u64(200, 4000),
-                    rng.uniform(1.0, 10.0));
+    const Cycles start = rng.uniform_u64(0, span);
+    const Cycles end = start + rng.uniform_u64(200, 4000);
+    power.add(start, end, rng.uniform(1.0, 10.0));
+    drain_end = std::max(drain_end, end);
   }
   tam::AdmissionTally tally;
   Cycles probe = 0;
   for (auto _ : state) {
     Cycles retry = 0;
-    benchmark::DoNotOptimize(
-        profile.window_free(probe, 5.0, 2048, &retry, tally));
+    benchmark::DoNotOptimize(check.window_free(power, drain_end, probe, 5.0,
+                                               2048, &retry, tally));
     probe = (probe + 1031) % span;
   }
   state.counters["events_per_check"] = benchmark::Counter(

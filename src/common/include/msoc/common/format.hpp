@@ -29,4 +29,8 @@ namespace msoc {
 /// documents stay byte-identical.
 [[nodiscard]] std::string shortest_double(double value);
 
+/// 16 lowercase hex digits, zero-padded: the rendering of every 64-bit
+/// digest and fingerprint (cache keys, RPC text hashes).
+[[nodiscard]] std::string hex64(std::uint64_t value);
+
 }  // namespace msoc

@@ -71,7 +71,7 @@ FrontierEngine::FrontierEngine(const soc::Soc& soc, FrontierOptions options)
     // poison the cache's EntryKey ordering; infinities serialize badly.
     require(std::isfinite(budget) || budget < 0.0,
             "power budgets must be finite (or negative = inherit)");
-    powers_.push_back(budget < 0.0 ? soc_.max_power() : budget);
+    powers_.push_back(tam::effective_max_power(soc_, budget));
   }
   std::sort(powers_.begin(), powers_.end(), [](double a, double b) {
     if ((a == 0.0) != (b == 0.0)) return a == 0.0;  // unconstrained first

@@ -248,12 +248,9 @@ void PartitionEvaluator::resolve(const std::vector<std::size_t>& indices) {
       packed[i] = t_max_;
       return;
     }
-    const tam::Schedule schedule = tam::schedule_soc(
-        soc_, width_,
-        mswrap::to_analog_partition(soc_.analog_cores(), partition),
-        hinted);
-    tam::require_valid(schedule);
-    packed[i] = schedule.makespan();
+    const tam::AnalogPartition analog =
+        mswrap::to_analog_partition(soc_.analog_cores(), partition);
+    packed[i] = tam::schedule_soc(soc_, width_, analog, hinted).makespan();
   });
   for (std::size_t i = 0; i < misses.size(); ++i) {
     const PartitionCell& cell = space_.cells[misses[i]];

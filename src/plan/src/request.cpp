@@ -69,16 +69,6 @@ double flag_number(std::string_view text, const char* message) {
   return *v;
 }
 
-std::string hex64(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
 /// The one envelope writer behind to_json and canonical_key.
 std::string envelope(const PlanRequest& request, bool hash_soc_text) {
   // `+ 0.0` folds -0.0 into 0.0: equal doubles, equal bytes.

@@ -1,9 +1,7 @@
 #include "msoc/plan/result_cache.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -26,12 +24,6 @@ namespace fs = std::filesystem;
 constexpr const char* kSchema = "msoc-cache-v4";
 constexpr const char* kJournalName = "journal.wal";
 constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return std::string(buf);
-}
 
 /// The shard a digest's journal records live in: the first two digest
 /// characters (hex in practice), sanitized so a hostile digest can

@@ -41,11 +41,6 @@ struct SeriesReplan {
   int dirty_partitions = 0;
 };
 
-/// The budget a config rung means for one SOC (inherit resolved).
-double resolve_power(double budget, const soc::Soc& soc) {
-  return budget < 0.0 ? soc.max_power() : budget;
-}
-
 }  // namespace
 
 SweepRow sweep_row(const FrontierResult& frontier,
@@ -192,13 +187,22 @@ SweepResult run_sweep(const SweepConfig& config) {
                    config.time_weights.size() +
                s.weight_index;
       };
+      tam::PackingOptions packing;
+      packing.window_limit = config.window_limit;
+      packing.window_cycles = config.window_cycles;
+      // Validated up front, so resolving the window cannot throw here.
+      const soc::PowerWindow window =
+          tam::effective_power_window(soc, packing);
       const auto fill_series_error = [&](const std::string& what) {
         for (std::size_t w = 0; w < config.tam_widths.size(); ++w) {
           for (std::size_t p = 0; p < config.max_powers.size(); ++p) {
             SweepRow row;
             row.soc_name = soc.name();
             row.tam_width = config.tam_widths[w];
-            row.max_power = resolve_power(config.max_powers[p], soc);
+            row.max_power =
+                tam::effective_max_power(soc, config.max_powers[p]);
+            row.window_cycles = window.cycles;
+            row.window_limit = window.limit;
             row.w_time = w_time;
             row.algorithm =
                 config.exhaustive ? "exhaustive" : "cost_optimizer";
@@ -217,8 +221,7 @@ SweepResult run_sweep(const SweepConfig& config) {
         options.jobs = inner;
         options.cache = cache;
         options.pareto_tables = &tables[s.soc_index];
-        options.packing.window_limit = config.window_limit;
-        options.packing.window_cycles = config.window_cycles;
+        options.packing = packing;
         FrontierEngine engine(soc, options);
         const FrontierResult frontier = config.replan_from.empty()
                                             ? engine.run()
@@ -235,7 +238,8 @@ SweepResult run_sweep(const SweepConfig& config) {
         }
         for (std::size_t w = 0; w < config.tam_widths.size(); ++w) {
           for (std::size_t p = 0; p < config.max_powers.size(); ++p) {
-            const double budget = resolve_power(config.max_powers[p], soc);
+            const double budget =
+                tam::effective_max_power(soc, config.max_powers[p]);
             result.rows[row_index(w, p)] = sweep_row(
                 frontier, *by_cell.at({config.tam_widths[w], budget}));
           }

@@ -18,10 +18,10 @@ namespace msoc::tam {
 
 /// Live counters (relaxed atomics, process-global).
 struct PackCounters {
-  std::atomic<std::uint64_t> admission_checks{0};  ///< window_free calls.
+  std::atomic<std::uint64_t> admission_checks{0};  ///< admission kernel calls.
   std::atomic<std::uint64_t> events_visited{0};    ///< skyline segments walked.
   std::atomic<std::uint64_t> retries{0};           ///< failed admission checks.
-  std::atomic<std::uint64_t> reservations{0};      ///< profile reserve calls.
+  std::atomic<std::uint64_t> reservations{0};      ///< placements x axes.
 };
 
 /// The process-global counter block.
@@ -33,7 +33,7 @@ struct PackCounters {
 /// one go, so PackTimeline's fixpoint pays the atomics once per probe
 /// rather than once per check.
 struct AdmissionTally {
-  std::uint64_t checks = 0;   ///< window_free calls.
+  std::uint64_t checks = 0;   ///< admission kernel calls.
   std::uint64_t visited = 0;  ///< skyline segments walked.
   std::uint64_t retries = 0;  ///< failed admission checks.
 

@@ -11,15 +11,15 @@
 //
 // The packer is a deterministic greedy: items are placed in descending
 // area order; each item picks the (width, start) pair minimizing its
-// completion time over the current wire-usage profile — and, when the
+// completion time over the current wire-usage skyline — and, when the
 // SOC (or PackingOptions) declares a power budget, over the companion
-// instantaneous-power profile: no placement may push the power sum of
-// everything running past the budget.  Both profiles are one coalescing
-// skyline kernel (capacity_profile.hpp), gathered with the windowed
-// profile into one PackTimeline (pack_timeline.hpp); wrapper busy
-// windows are coalescing interval sets (interval_set.hpp), so every
-// admission probe costs O(log n + segments crossed) instead of a full
-// walk of the timeline.
+// power skyline: no placement may push the power sum of everything
+// running past the peak budget, or any window's average past the
+// window budget.  One PackTimeline (pack_timeline.hpp) owns both
+// skylines and runs every admission check; wrapper busy windows are
+// coalescing interval sets (interval_set.hpp), so every admission probe
+// costs O(log n + segments crossed) instead of a full walk of the
+// timeline.
 
 #include <string>
 #include <vector>
@@ -73,8 +73,8 @@ struct PackingOptions {
   ///     0           — unconstrained, even if the SOC declares a budget;
   ///   > 0           — explicit budget in the SOC's power units.
   /// Under a finite budget the packer admits a placement only when the
-  /// power sum of everything running stays within it (PowerProfile),
-  /// exactly as wire usage must stay within tam_width.
+  /// power sum of everything running stays within it, exactly as wire
+  /// usage must stay within tam_width.
   double max_power = -1.0;
   /// Sliding-window average-power budget (WindowedPowerProfile): every
   /// window of `window_cycles` cycles must average at most
@@ -130,10 +130,12 @@ struct PackingOptions {
   const ParetoTables* pareto_hint = nullptr;
 };
 
-/// The power budget a pack over `soc` with `options` actually enforces
-/// (resolving the options' inherit-from-SOC default); 0 = unlimited.
+/// The power budget a pack over `soc` enforces for a requested
+/// `max_power` (PackingOptions::max_power convention: < 0 inherits
+/// Soc::max_power); 0 = unlimited.  The one inherit rule every surface
+/// (packer, frontier ladder, sweep rows) resolves budgets with.
 [[nodiscard]] double effective_max_power(const soc::Soc& soc,
-                                         const PackingOptions& options);
+                                         double max_power);
 
 /// The sliding-window budget a pack over `soc` with `options` actually
 /// enforces (inherit resolved); inactive = unwindowed.  Throws

@@ -67,9 +67,9 @@ struct ScheduleViolation {
 /// analog wrapper never overlap, (when max_power > 0) instantaneous
 /// power <= max_power, and (when window_cycles > 0) every
 /// window_cycles-long window averages at most window_limit power.
-/// Returns all violations (empty == valid).  This is the reusable validity oracle the property suites
-/// run over every schedule they see; schedule_soc runs it on its own
-/// output whenever a power budget is active.
+/// Returns all violations (empty == valid).  This is the reusable
+/// validity oracle the property suites run over every schedule they
+/// see; schedule_soc runs it (through require_valid) on every output.
 [[nodiscard]] std::vector<ScheduleViolation> check_schedule(
     const Schedule& schedule);
 

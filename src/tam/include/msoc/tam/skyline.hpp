@@ -6,7 +6,7 @@
 // extends to infinity and — because reservations are finite — is always
 // Load{} once everything drains.
 //
-// This replaces the delta-map (time -> +/- load) the profiles used to
+// This replaces the delta-map (time -> +/- load) the packer used to
 // keep: a delta map answers "load at t" only by summing every delta from
 // the beginning (O(n) per admission probe), while the skyline answers it
 // with one binary search (O(log n)) and walks only the segments a
@@ -17,7 +17,8 @@
 // a node-based map.  Levels are maintained incrementally on insert, so
 // for integer loads they are bit-identical to the delta-map prefix
 // sums; for floating-point loads they differ by at most the usual
-// reassociation ulps, which the profiles' slack already absorbs.
+// reassociation ulps, which the power checks' slack (power_slack)
+// already absorbs.
 
 #include <algorithm>
 #include <cstddef>

@@ -1,9 +1,10 @@
 #pragma once
-// Sliding-window average-power profile for the rectangle packer: the
-// sustained-power companion to the instantaneous peak profile.  The
+// Sliding-window average-power check for the rectangle packer: the
+// sustained-power companion to the instantaneous peak budget.  The
 // constraint is thermal — every window of W cycles must average at most
 // L power units, i.e. the load integral over any [w, w+W) may not
-// exceed L*W.
+// exceed L*W.  The check reads PackTimeline's one power skyline (the
+// peak check reads the same envelope) and keeps only query state.
 //
 // The admission check exploits the load being piecewise constant: the
 // sliding integral I(w) = integral over [w, w+W) is piecewise LINEAR in
@@ -12,13 +13,13 @@
 // span is therefore attained at one of O(segments crossed) candidate
 // window starts.  The check builds a prefix-integral table from the
 // segments the span actually touches — windows wholly before or after
-// the candidate are already satisfied by the profile's invariant and
+// the candidate are already satisfied by the timeline's invariant and
 // are never visited — then walks the candidates in ascending order as
 // a merge of already-sorted streams (for_each_window_start), reading
 // each window's integral off the table with two forward cursors: no
 // sort, no binary search.
 //
-// Same retry-time contract as CapacityProfile: on failure report a
+// Same retry-time contract as capacity_free: on failure report a
 // strictly later start worth probing (the next load breakpoint, or one
 // window past the drain once the timeline is clear), so the packer's
 // fixpoint always advances.
@@ -30,11 +31,20 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/units.hpp"
-#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/counters.hpp"
 #include "msoc/tam/skyline.hpp"
 
 namespace msoc::tam {
+
+/// Admission tolerance for a floating-point power budget (peak watts,
+/// or a window's power-cycle integral).  Accumulating loads in floating
+/// point leaves residue on the order of 1 ulp per event; the slack
+/// absorbs it so a fully-drained skyline never spuriously rejects a
+/// test whose power exactly equals the budget.  The packer's checks
+/// and the check_schedule oracle share this one definition.
+[[nodiscard]] inline double power_slack(double budget) noexcept {
+  return 1e-9 * (budget < 1.0 ? 1.0 : budget);
+}
 
 /// Visits, in ascending order and each exactly once, every window
 /// start in [lo, end) at which the sliding W-cycle integral can kink for
@@ -82,9 +92,8 @@ class WindowedPowerProfile {
   /// schedule never builds a WindowedPowerProfile).
   WindowedPowerProfile(Cycles window, double limit)
       : window_(window),
-        limit_(limit),
         budget_(limit * static_cast<double>(window)),
-        // The peak profile's slack on the integral scale: the prefix
+        // The peak budget's slack on the integral scale: the prefix
         // sums accumulate ~1 ulp of residue per segment.
         slack_(power_slack(budget_)) {
     check_invariant(window > 0 && limit > 0.0,
@@ -100,39 +109,29 @@ class WindowedPowerProfile {
            budget_ + slack_;
   }
 
-  /// True when every window overlapping [start, start+duration) stays
-  /// within budget with a `power` load added over that span.  On
-  /// failure *retry_at is a strictly later start worth probing.  The
-  /// check counts into `tally`.  Not const: the check builds its
-  /// segment table in the profile's scratch buffers, so a warm profile
-  /// allocates nothing per check.
-  [[nodiscard]] bool window_free(Cycles start, double power, Cycles duration,
+  /// True when every window overlapping [start, start+duration) of
+  /// `load` stays within budget with a `power` load added over that
+  /// span.  `drain_end` is the end of the timeline's last reservation,
+  /// zero-power ones included.  On failure *retry_at is a strictly
+  /// later start worth probing.  The check counts into `tally`.  Not
+  /// const: the check builds its segment table in scratch buffers, so
+  /// a warm check allocates nothing.
+  [[nodiscard]] bool window_free(const Skyline<double>& load,
+                                 Cycles drain_end, Cycles start,
+                                 double power, Cycles duration,
                                  Cycles* retry_at, AdmissionTally& tally) {
     std::uint64_t visited = 0;
-    const bool free =
-        window_free_impl(start, power, duration, retry_at, &visited);
+    const bool free = window_free_impl(load, drain_end, start, power,
+                                       duration, retry_at, &visited);
     tally.count(free, visited);
     return free;
-  }
-
-  void reserve(Cycles start, Cycles duration, double power) {
-    load_.add(start, start + duration, power);
-    drain_end_ = std::max(drain_end_, start + duration);
-    pack_counters().reservations.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] Cycles window() const noexcept { return window_; }
-  [[nodiscard]] double limit() const noexcept { return limit_; }
-
-  /// The underlying envelope (tests and benches introspect it).
-  [[nodiscard]] const Skyline<double>& skyline() const noexcept {
-    return load_;
   }
 
  private:
   using const_iterator = Skyline<double>::const_iterator;
 
-  bool window_free_impl(Cycles start, double power, Cycles duration,
+  bool window_free_impl(const Skyline<double>& load, Cycles drain_end,
+                        Cycles start, double power, Cycles duration,
                         Cycles* retry_at, std::uint64_t* visited) {
     const Cycles lo = start >= window_ ? start - window_ : 0;
     const Cycles end = start + duration;  // exclusive window-start bound
@@ -146,13 +145,13 @@ class WindowedPowerProfile {
     times.clear();
     levels.clear();
     prefix.clear();
-    const_iterator at = load_.floor(lo);
+    const_iterator at = load.floor(lo);
     times.push_back(lo);
-    levels.push_back(at == load_.end() ? 0.0 : at->second);
+    levels.push_back(at == load.end() ? 0.0 : at->second);
     prefix.push_back(0.0);
     ++*visited;
-    const_iterator it = at == load_.end() ? load_.begin() : std::next(at);
-    for (; it != load_.end() && it->first < span_end; ++it) {
+    const_iterator it = at == load.end() ? load.begin() : std::next(at);
+    for (; it != load.end() && it->first < span_end; ++it) {
       ++*visited;
       prefix.push_back(prefix.back() +
                        levels.back() *
@@ -184,7 +183,7 @@ class WindowedPowerProfile {
           const bool over = existing + added > budget_ + slack_;
           return !over;
         });
-    if (!fits) *retry_at = next_retry(start, visited);
+    if (!fits) *retry_at = next_retry(load, drain_end, start, visited);
     return fits;
   }
 
@@ -192,25 +191,23 @@ class WindowedPowerProfile {
   /// `start`, or — once past every breakpoint — one full window past
   /// the drain, where no window mixes the candidate with old load and
   /// admits_alone() (pre-checked by the packer) guarantees admission.
-  Cycles next_retry(Cycles start, std::uint64_t* visited) const {
-    const_iterator at = load_.floor(start);
-    const_iterator it = at == load_.end() ? load_.begin() : std::next(at);
-    if (it != load_.end()) {
+  Cycles next_retry(const Skyline<double>& load, Cycles drain_end,
+                    Cycles start, std::uint64_t* visited) const {
+    const_iterator at = load.floor(start);
+    const_iterator it = at == load.end() ? load.begin() : std::next(at);
+    if (it != load.end()) {
       ++*visited;
       return it->first;
     }
-    const Cycles clear = drain_end_ + window_;
+    const Cycles clear = drain_end + window_;
     check_invariant(clear > start,
                     "windowed power budget never admits the test");
     return clear;
   }
 
   Cycles window_;
-  double limit_;
   double budget_;  ///< limit * window: the per-window integral cap.
   double slack_;
-  Cycles drain_end_ = 0;  ///< End of the last reservation.
-  Skyline<double> load_;
   // window_free's clipped segment table, kept between checks for its
   // capacity only.
   std::vector<Cycles> times_;

@@ -287,33 +287,46 @@ void improve_schedule(Schedule& schedule,
   }
 }
 
+/// The area/length lower bound over a set of rectangles on a W-wire
+/// TAM: every test needs its own length, and together they need
+/// ceil(area / W) cycles.
+struct AreaBound {
+  Cycles area = 0;
+  Cycles longest = 0;
+
+  /// One digital staircase: its most wire-efficient point's area
+  /// (smallest w*t) and its widest point's time.
+  void add_staircase(const std::vector<wrapper::ParetoPoint>& pareto) {
+    Cycles best_area = 0;
+    for (const wrapper::ParetoPoint& p : pareto) {
+      const Cycles a = static_cast<Cycles>(p.width) * p.time;
+      if (best_area == 0 || a < best_area) best_area = a;
+    }
+    area += best_area;
+    longest = std::max(longest, pareto.back().time);
+  }
+
+  [[nodiscard]] Cycles at(int tam_width) const {
+    const auto w = static_cast<Cycles>(tam_width);
+    return std::max((area + w - 1) / w, longest);
+  }
+};
+
 /// Area/serialization lower bound used as the packing target: below this
 /// makespan every placement is "free", which steers the greedy toward
 /// wire-efficient widths instead of myopically minimizing each finish.
 Cycles packing_target(const std::vector<DigitalItem>& digital,
                       const std::vector<AnalogGroupItem>& groups,
                       int tam_width) {
-  Cycles area = 0;
-  Cycles longest = 0;
-  for (const DigitalItem& d : digital) {
-    Cycles best_area = 0;
-    for (const wrapper::ParetoPoint& p : d.pareto) {
-      const Cycles a = static_cast<Cycles>(p.width) * p.time;
-      if (best_area == 0 || a < best_area) best_area = a;
-    }
-    area += best_area;
-    longest = std::max(longest, d.pareto.back().time);
-  }
+  AreaBound bound;
+  for (const DigitalItem& d : digital) bound.add_staircase(d.pareto);
   for (const AnalogGroupItem& g : groups) {
     for (const AnalogRect& r : g.rects) {
-      area += static_cast<Cycles>(r.width) * r.duration;
+      bound.area += static_cast<Cycles>(r.width) * r.duration;
     }
-    longest = std::max(longest, g.total_cycles);  // serial chain
+    bound.longest = std::max(bound.longest, g.total_cycles);  // serial chain
   }
-  const Cycles area_bound =
-      (area + static_cast<Cycles>(tam_width) - 1) /
-      static_cast<Cycles>(tam_width);
-  return std::max(area_bound, longest);
+  return bound.at(tam_width);
 }
 
 Schedule pack_once(const std::vector<DigitalItem>& digital,
@@ -460,10 +473,8 @@ ParetoTables compute_pareto_tables(const soc::Soc& soc, int max_width) {
   return tables;
 }
 
-double effective_max_power(const soc::Soc& soc,
-                           const PackingOptions& options) {
-  if (options.max_power < 0.0) return soc.max_power();
-  return options.max_power;
+double effective_max_power(const soc::Soc& soc, double max_power) {
+  return max_power < 0.0 ? soc.max_power() : max_power;
 }
 
 soc::PowerWindow effective_power_window(const soc::Soc& soc,
@@ -497,7 +508,7 @@ Schedule schedule_soc(const soc::Soc& soc, int tam_width,
                       const AnalogPartition& partition,
                       const PackingOptions& options) {
   require(tam_width >= 1, "TAM width must be >= 1");
-  const double max_power = effective_max_power(soc, options);
+  const double max_power = effective_max_power(soc, options.max_power);
   // A single test hotter than the whole budget can never be admitted —
   // reject up front so the placement fixpoint always terminates.
   require(max_power <= 0.0 || soc.peak_test_power() <= max_power,
@@ -651,19 +662,10 @@ Schedule schedule_soc(const soc::Soc& soc, int tam_width,
   }
 
   if (options.assign_wires) assign_wires(best);
-  // Under a power budget the packer polices itself on every output:
-  // check_schedule re-walks capacity, power (peak and windowed) and
-  // serialization, and any violation is a packer bug, not a caller
-  // error.
-  if (max_power > 0.0 || window.active()) {
-    const std::vector<ScheduleViolation> violations = check_schedule(best);
-    check_invariant(violations.empty(),
-                    violations.empty()
-                        ? std::string("unreachable")
-                        : "power-constrained pack violated its own "
-                          "invariants: " +
-                              violations.front().message);
-  }
+  // The packer polices itself on every output: any violation of
+  // capacity, power, serialization or the wire assignment is a packer
+  // bug, not a caller error.
+  require_valid(best);
   return best;
 }
 
@@ -673,30 +675,16 @@ Cycles digital_lower_bound(const soc::Soc& soc, int tam_width,
   if (pareto_hint != nullptr) {
     require_pareto_hint_matches(*pareto_hint, soc, tam_width);
   }
-  Cycles area = 0;
-  Cycles longest_single = 0;
+  AreaBound bound;
   std::size_t core_index = 0;
   for (const soc::DigitalCore& core : soc.digital_cores()) {
-    const std::vector<wrapper::ParetoPoint> pareto =
+    bound.add_staircase(
         pareto_hint != nullptr
-            ? slice_pareto(pareto_hint->by_core[core_index],
-                           tam_width)
-            : wrapper::pareto_widths(core, tam_width);
+            ? slice_pareto(pareto_hint->by_core[core_index], tam_width)
+            : wrapper::pareto_widths(core, tam_width));
     ++core_index;
-    const wrapper::ParetoPoint& widest = pareto.back();
-    // Area bound uses the most wire-efficient point (smallest w*t).
-    Cycles best_area = 0;
-    for (const wrapper::ParetoPoint& p : pareto) {
-      const Cycles a = static_cast<Cycles>(p.width) * p.time;
-      if (best_area == 0 || a < best_area) best_area = a;
-    }
-    area += best_area;
-    longest_single = std::max(longest_single, widest.time);
   }
-  const Cycles area_bound =
-      (area + static_cast<Cycles>(tam_width) - 1) /
-      static_cast<Cycles>(tam_width);
-  return std::max(area_bound, longest_single);
+  return bound.at(tam_width);
 }
 
 Cycles analog_lower_bound(const soc::Soc& soc,

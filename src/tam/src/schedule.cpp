@@ -7,8 +7,8 @@
 
 #include "msoc/common/csv.hpp"
 #include "msoc/common/error.hpp"
-#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/skyline.hpp"
+#include "msoc/tam/windowed_power.hpp"
 
 namespace msoc::tam {
 
@@ -60,6 +60,16 @@ std::pair<double, Cycles> max_window_integral(const Skyline<double>& load,
   return {best, best_start};
 }
 
+/// The schedule's power sum over time.  Zero-length or powerless tests
+/// contribute nothing to the envelope.
+Skyline<double> power_envelope(const Schedule& schedule) {
+  Skyline<double> load;
+  for (const ScheduledTest& t : schedule.tests) {
+    if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
+  }
+  return load;
+}
+
 }  // namespace
 
 Cycles Schedule::makespan() const {
@@ -83,14 +93,7 @@ double Schedule::utilization() const {
   return 1.0 - static_cast<double>(idle_area()) / static_cast<double>(total);
 }
 
-double Schedule::peak_power() const {
-  Skyline<double> load;
-  for (const ScheduledTest& t : tests) {
-    // Zero-length or powerless tests contribute nothing to the envelope.
-    if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
-  }
-  return load.peak();
-}
+double Schedule::peak_power() const { return power_envelope(*this).peak(); }
 
 std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
   std::vector<ScheduleViolation> violations;
@@ -115,15 +118,18 @@ std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
     }
   }
 
+  // Power: one envelope for the peak and the window check.
+  const bool windowed =
+      schedule.window_cycles > 0 && schedule.window_limit > 0.0;
+  const Skyline<double> load = schedule.max_power > 0.0 || windowed
+                                    ? power_envelope(schedule)
+                                    : Skyline<double>{};
+
   // Instantaneous power against the schedule's budget, with the packer's
   // tolerance: floating-point accumulation leaves ulp-sized residue that
   // must not read as a violation.
   if (schedule.max_power > 0.0) {
     const double slack = power_slack(schedule.max_power);
-    Skyline<double> load;
-    for (const ScheduledTest& t : schedule.tests) {
-      if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
-    }
     for (const auto& [time, level] : load) {
       if (level > schedule.max_power + slack) {
         std::ostringstream os;
@@ -138,14 +144,10 @@ std::vector<ScheduleViolation> check_schedule(const Schedule& schedule) {
   // Sliding-window average power against the schedule's window budget.
   // Tolerance on the integral scale (budget = limit * window), matching
   // WindowedPowerProfile's slack.
-  if (schedule.window_cycles > 0 && schedule.window_limit > 0.0) {
+  if (windowed) {
     const double budget = schedule.window_limit *
                           static_cast<double>(schedule.window_cycles);
     const double slack = power_slack(budget);
-    Skyline<double> load;
-    for (const ScheduledTest& t : schedule.tests) {
-      if (t.duration > 0 && t.power != 0.0) load.add(t.start, t.end(), t.power);
-    }
     const auto [integral, at] =
         max_window_integral(load, schedule.window_cycles);
     if (integral > budget + slack) {

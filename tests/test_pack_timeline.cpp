@@ -1,6 +1,6 @@
 // Property tests for PackTimeline::earliest_feasible, the packer's
-// placement fixpoint over the blocked set and the wire, peak-power and
-// windowed-power profiles.
+// placement fixpoint over the blocked set, the wire skyline and the
+// peak-power and windowed-power checks over the power skyline.
 //
 // Without a window the fixpoint is checked for exactness against a
 // per-cycle brute-force scan: the returned start is the smallest start

@@ -9,9 +9,9 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/soc/benchmarks.hpp"
-#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/interval_set.hpp"
 #include "msoc/tam/pack_timeline.hpp"
+#include "msoc/tam/skyline.hpp"
 #include "msoc/tam/windowed_power.hpp"
 #include "powered_fixtures.hpp"
 #include "msoc/tam/schedule.hpp"
@@ -295,35 +295,42 @@ TEST(PackTimelineRetry, PeakFailureRestartsTheWireCheck) {
   EXPECT_EQ(unpowered.earliest_feasible(4, 40.0, 10, {}), 0u);
 }
 
-// --- CapacityProfile<double>: the instantaneous-power kernel. ---
+// --- capacity_free<double>: the instantaneous-power kernel. ---
 
-TEST(CapacityProfileRetry, WindowAndRetrySemantics) {
-  CapacityProfile<double> profile(100.0, power_slack(100.0));
-  profile.reserve(0, 50, 70.0);
-  profile.reserve(50, 50, 40.0);
+/// The peak ceiling PackTimeline builds for a 100-unit budget.
+const double kPeakCeiling = 100.0 + power_slack(100.0);
+
+TEST(PeakKernelRetry, WindowAndRetrySemantics) {
+  Skyline<double> power;
+  power.add(0, 50, 70.0);
+  power.add(50, 100, 40.0);
   Cycles retry = 0;
   AdmissionTally tally;
   // 70 + 40 > 100 before t=50; from 50 only 40 is drawn.
-  EXPECT_FALSE(profile.window_free(0, 40.0, 10, &retry, tally));
+  EXPECT_FALSE(capacity_free(power, kPeakCeiling, 0, 40.0, 10, &retry, tally));
   EXPECT_EQ(retry, 50u);
-  EXPECT_TRUE(profile.window_free(50, 40.0, 10, &retry, tally));
+  EXPECT_TRUE(capacity_free(power, kPeakCeiling, 50, 40.0, 10, &retry, tally));
   // A window straddling the 70->40 step fails until the step.
   retry = 0;
-  EXPECT_FALSE(profile.window_free(40, 60.0, 20, &retry, tally));
+  EXPECT_FALSE(
+      capacity_free(power, kPeakCeiling, 40, 60.0, 20, &retry, tally));
   EXPECT_EQ(retry, 50u);
-  EXPECT_TRUE(profile.window_free(100, 100.0, 10, &retry, tally));
+  EXPECT_TRUE(
+      capacity_free(power, kPeakCeiling, 100, 100.0, 10, &retry, tally));
 }
 
-TEST(CapacityProfileRetry, ExactBudgetLoadFitsAfterDrain) {
+TEST(PeakKernelRetry, ExactBudgetLoadFitsAfterDrain) {
   // Float residue from +/- accumulation must not block a full-budget
   // load once everything else ended.
-  CapacityProfile<double> profile(100.0, power_slack(100.0));
+  Skyline<double> power;
   for (int i = 0; i < 100; ++i) {
-    profile.reserve(static_cast<Cycles>(i), 1, 0.1 + i * 0.001);
+    power.add(static_cast<Cycles>(i), static_cast<Cycles>(i) + 1,
+              0.1 + i * 0.001);
   }
   Cycles retry = 0;
   AdmissionTally tally;
-  EXPECT_TRUE(profile.window_free(200, 100.0, 10, &retry, tally));
+  EXPECT_TRUE(
+      capacity_free(power, kPeakCeiling, 200, 100.0, 10, &retry, tally));
 }
 
 // --- Power-constrained packing end to end. ---
@@ -352,9 +359,9 @@ TEST(PackingPower, OptionsOverrideBeatsTheSocDeclaration) {
   const Schedule unconstrained =
       schedule_soc(s, 32, singleton_partition(s), options);
   EXPECT_EQ(unconstrained.max_power, 0.0);
-  EXPECT_EQ(effective_max_power(s, options), 0.0);
+  EXPECT_EQ(effective_max_power(s, options.max_power), 0.0);
   options.max_power = -1.0;
-  EXPECT_EQ(effective_max_power(s, options), s.max_power());
+  EXPECT_EQ(effective_max_power(s, options.max_power), s.max_power());
 }
 
 TEST(PackingPower, TightBudgetCanOnlyLengthenTheAllShareBaseline) {
@@ -403,6 +410,18 @@ TEST(PackingPower, UnannotatedSocIgnoresAnyBudget) {
 
 // --- WindowedPowerProfile: the sliding-window admission kernel. ---
 
+/// A power skyline and its drain horizon, reserved the way PackTimeline
+/// reserves them.
+struct PowerLoad {
+  Skyline<double> load;
+  Cycles drain_end = 0;
+
+  void reserve(Cycles start, Cycles duration, double power) {
+    load.add(start, start + duration, power);
+    drain_end = std::max(drain_end, start + duration);
+  }
+};
+
 TEST(WindowedPowerRetry, AdmitsAloneClipsAtTheWindow) {
   const WindowedPowerProfile p(10, 5.0);  // budget: 50 power-cycles
   EXPECT_TRUE(p.admits_alone(5.0, 10));
@@ -414,28 +433,34 @@ TEST(WindowedPowerRetry, AdmitsAloneClipsAtTheWindow) {
 
 TEST(WindowedPowerRetry, RetryAdvancesToTheNextBreakpoint) {
   WindowedPowerProfile p(10, 5.0);
-  p.reserve(0, 10, 5.0);  // saturates every window touching [0, 10)
+  PowerLoad power;
+  power.reserve(0, 10, 5.0);  // saturates every window touching [0, 10)
   Cycles retry = 0;
   AdmissionTally tally;
-  EXPECT_FALSE(p.window_free(3, 5.0, 5, &retry, tally));
+  EXPECT_FALSE(p.window_free(power.load, power.drain_end, 3, 5.0, 5, &retry,
+                             tally));
   EXPECT_EQ(retry, 10u);
   // From the breakpoint every straddling window sums to exactly the
-  // budget: admitted (within slack), like the peak profile's exact fit.
-  EXPECT_TRUE(p.window_free(10, 5.0, 5, &retry, tally));
+  // budget: admitted (within slack), like the peak check's exact fit.
+  EXPECT_TRUE(p.window_free(power.load, power.drain_end, 10, 5.0, 5, &retry,
+                            tally));
 }
 
 TEST(WindowedPowerRetry, RetryJumpsPastTheDrainWhenBreakpointsRunOut) {
   WindowedPowerProfile p(10, 5.0);
-  p.reserve(0, 10, 5.0);
+  PowerLoad power;
+  power.reserve(0, 10, 5.0);
   Cycles retry = 0;
   AdmissionTally tally;
   // A short hot burst (admissible alone: 10*4 = 40 <= 50) fails at a
   // start past the last load breakpoint — the only remaining probe is
   // one full window past the drain, where no window mixes it with the
   // old load.
-  EXPECT_FALSE(p.window_free(11, 10.0, 4, &retry, tally));
+  EXPECT_FALSE(p.window_free(power.load, power.drain_end, 11, 10.0, 4,
+                             &retry, tally));
   EXPECT_EQ(retry, 20u);  // drain end (10) + window (10)
-  EXPECT_TRUE(p.window_free(20, 10.0, 4, &retry, tally));
+  EXPECT_TRUE(p.window_free(power.load, power.drain_end, 20, 10.0, 4,
+                            &retry, tally));
 }
 
 TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
@@ -445,6 +470,7 @@ TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
   constexpr Cycles kWindow = 7;
   constexpr double kBudget = 63.0;  // limit 9 * window 7
   WindowedPowerProfile p(kWindow, 9.0);
+  PowerLoad envelope;
   struct Placed {
     Cycles start, end;
     double power;
@@ -474,10 +500,11 @@ TEST(WindowedPowerRetry, AgreesWithABruteForceWindowScan) {
     }
     Cycles retry = 0;
     AdmissionTally tally;
-    const bool free = p.window_free(start, power, duration, &retry, tally);
+    const bool free = p.window_free(envelope.load, envelope.drain_end, start,
+                                    power, duration, &retry, tally);
     EXPECT_EQ(free, worst <= kBudget + 1e-6) << "placement " << i;
     if (free) {
-      p.reserve(start, duration, power);
+      envelope.reserve(start, duration, power);
       placed.push_back({start, start + duration, power});
     } else {
       EXPECT_GT(retry, start) << "placement " << i;

@@ -1,5 +1,5 @@
-// Property tests pinning the skyline-backed CapacityProfile kernel (as
-// the wire profile and as the peak-power profile) and PackTimeline's
+// Property tests pinning the skyline-backed capacity_free kernel (as
+// the wire check and as the peak-power check) and PackTimeline's
 // wires-only fixpoint to the historical delta-map implementations they
 // replaced.  The reference classes below are verbatim ports of the
 // pre-refactor code (prefix-sum walks over a +/- delta map, fixpoint
@@ -16,9 +16,10 @@
 
 #include "msoc/common/error.hpp"
 #include "msoc/common/rng.hpp"
-#include "msoc/tam/capacity_profile.hpp"
 #include "msoc/tam/interval_set.hpp"
 #include "msoc/tam/pack_timeline.hpp"
+#include "msoc/tam/skyline.hpp"
+#include "msoc/tam/windowed_power.hpp"
 
 namespace msoc::tam {
 namespace {
@@ -157,7 +158,7 @@ class ReferencePowerProfile {
 
 /// One wire probe the way PackTimeline makes it: the blocked union
 /// first, then the wire kernel.
-bool wires_free(const CapacityProfile<long long>& wires,
+bool wires_free(const Skyline<long long>& wires, int capacity,
                 const IntervalSet& blocked, Cycles start, int width,
                 Cycles duration, Cycles* retry_at) {
   const Cycles clear = blocked.first_fit(start, duration);
@@ -166,14 +167,15 @@ bool wires_free(const CapacityProfile<long long>& wires,
     return false;
   }
   AdmissionTally tally;
-  return wires.window_free(start, width, duration, retry_at, tally);
+  return capacity_free(wires, capacity, start, width, duration, retry_at,
+                       tally);
 }
 
 TEST(ProfileEquivalence, WireProfileMatchesDeltaMapOnRandomWorkloads) {
   Rng rng(20260808);
   for (int round = 0; round < 25; ++round) {
     const int capacity = rng.uniform_int(8, 32);
-    CapacityProfile<long long> skyline(capacity);
+    Skyline<long long> skyline;
     ReferenceUsageProfile reference(capacity);
 
     // Interleave reservations and probes so the profiles are compared
@@ -183,7 +185,7 @@ TEST(ProfileEquivalence, WireProfileMatchesDeltaMapOnRandomWorkloads) {
         const Cycles start = rng.uniform_u64(0, 500);
         const Cycles duration = rng.uniform_u64(1, 80);
         const int width = rng.uniform_int(1, capacity);
-        skyline.reserve(start, duration, width);
+        skyline.add(start, start + duration, width);
         reference.reserve(start, duration, width);
         continue;
       }
@@ -193,8 +195,8 @@ TEST(ProfileEquivalence, WireProfileMatchesDeltaMapOnRandomWorkloads) {
       Cycles new_retry = 0;
       Cycles old_retry = 0;
       AdmissionTally tally;
-      const bool new_free =
-          skyline.window_free(start, width, duration, &new_retry, tally);
+      const bool new_free = capacity_free(skyline, capacity, start, width,
+                                          duration, &new_retry, tally);
       const bool old_free =
           reference.window_free(start, width, duration, {}, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -213,14 +215,14 @@ TEST(ProfileEquivalence, BlockedWindowsMatchTheHistoricalFixpoint) {
   Rng rng(31337);
   for (int round = 0; round < 25; ++round) {
     const int capacity = rng.uniform_int(4, 16);
-    CapacityProfile<long long> skyline(capacity);
+    Skyline<long long> skyline;
     PackTimeline timeline(capacity);
     ReferenceUsageProfile reference(capacity);
     for (int i = 0; i < 15; ++i) {
       const Cycles start = rng.uniform_u64(0, 300);
       const Cycles duration = rng.uniform_u64(1, 60);
       const int width = rng.uniform_int(1, capacity);
-      skyline.reserve(start, duration, width);
+      skyline.add(start, start + duration, width);
       timeline.reserve(start, duration, width, 0.0);
       reference.reserve(start, duration, width);
     }
@@ -241,8 +243,8 @@ TEST(ProfileEquivalence, BlockedWindowsMatchTheHistoricalFixpoint) {
       const int width = rng.uniform_int(1, capacity);
       Cycles new_retry = 0;
       Cycles old_retry = 0;
-      const bool new_free = wires_free(skyline, merged, start, width,
-                                       duration, &new_retry);
+      const bool new_free = wires_free(skyline, capacity, merged, start,
+                                       width, duration, &new_retry);
       const bool old_free =
           reference.window_free(start, width, duration, raw, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -263,14 +265,15 @@ TEST(ProfileEquivalence, PeakProfileMatchesDeltaMapOnDyadicLoads) {
   Rng rng(555);
   for (int round = 0; round < 25; ++round) {
     const double budget = 0.25 * rng.uniform_int(8, 64);
-    CapacityProfile<double> skyline(budget, power_slack(budget));
+    const double ceiling = budget + power_slack(budget);
+    Skyline<double> skyline;
     ReferencePowerProfile reference(budget);
     for (int op = 0; op < 120; ++op) {
       const double power = 0.25 * rng.uniform_int(1, 32);
       if (rng.uniform_int(0, 2) == 0 && power <= budget) {
         const Cycles start = rng.uniform_u64(0, 500);
         const Cycles duration = rng.uniform_u64(1, 80);
-        skyline.reserve(start, duration, power);
+        skyline.add(start, start + duration, power);
         reference.reserve(start, duration, power);
         continue;
       }
@@ -280,8 +283,8 @@ TEST(ProfileEquivalence, PeakProfileMatchesDeltaMapOnDyadicLoads) {
       Cycles new_retry = 0;
       Cycles old_retry = 0;
       AdmissionTally tally;
-      const bool new_free =
-          skyline.window_free(start, power, duration, &new_retry, tally);
+      const bool new_free = capacity_free(skyline, ceiling, start, power,
+                                          duration, &new_retry, tally);
       const bool old_free =
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)
@@ -300,14 +303,15 @@ TEST(ProfileEquivalence, PeakProfileMatchesDeltaMapOnArbitraryLoads) {
   Rng rng(777);
   for (int round = 0; round < 15; ++round) {
     const double budget = rng.uniform(5.0, 50.0);
-    CapacityProfile<double> skyline(budget, power_slack(budget));
+    const double ceiling = budget + power_slack(budget);
+    Skyline<double> skyline;
     ReferencePowerProfile reference(budget);
     for (int op = 0; op < 100; ++op) {
       const double power = rng.uniform(0.1, budget);
       if (rng.uniform_int(0, 2) == 0) {
         const Cycles start = rng.uniform_u64(0, 400);
         const Cycles duration = rng.uniform_u64(1, 60);
-        skyline.reserve(start, duration, power);
+        skyline.add(start, start + duration, power);
         reference.reserve(start, duration, power);
         continue;
       }
@@ -316,8 +320,8 @@ TEST(ProfileEquivalence, PeakProfileMatchesDeltaMapOnArbitraryLoads) {
       Cycles new_retry = 0;
       Cycles old_retry = 0;
       AdmissionTally tally;
-      const bool new_free =
-          skyline.window_free(start, power, duration, &new_retry, tally);
+      const bool new_free = capacity_free(skyline, ceiling, start, power,
+                                          duration, &new_retry, tally);
       const bool old_free =
           reference.window_free(start, power, duration, &old_retry);
       ASSERT_EQ(new_free, old_free)

@@ -12,7 +12,7 @@
 namespace msoc::tam {
 namespace {
 
-/// Reference level: the delta-map prefix sum the profiles used to keep.
+/// Reference level: the delta-map prefix sum the packer used to keep.
 template <typename Load>
 Load reference_level(const std::map<Cycles, Load>& delta, Cycles t) {
   Load level{};

@@ -284,5 +284,24 @@ TEST(SweepPower, InfeasibleBudgetIsSoftPerRow) {
   }
 }
 
+TEST(SweepPower, SeriesErrorRowsCarryTheResolvedWindow) {
+  // A SOC without analog cores fails its whole series up front; its
+  // rows must still report the window the series ran under, as the
+  // per-point error rows of a feasible series do.
+  SweepConfig config;
+  config.socs.push_back(soc::make_p93791());
+  config.tam_widths = {32};
+  config.time_weights = {0.5};
+  config.window_cycles = 4096;
+  config.window_limit = 200.0;
+  const SweepResult result = run_sweep(config);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_FALSE(result.rows[0].ok());
+  EXPECT_EQ(result.rows[0].window_cycles, 4096u);
+  EXPECT_EQ(result.rows[0].window_limit, 200.0);
+  EXPECT_NE(result.to_json().find("\"window_cycles\": 4096"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace msoc::plan
